@@ -4,52 +4,92 @@
 //!
 //! The SRC run is the paper-facing number (collapsed stuck-at coverage
 //! with scan DFT inserted); the AdderTree run probes scaling at 10^4
-//! gates. Set `SCFLOW_ATPG_BENCH_LARGE=1` to add a 10^5-gate run.
+//! gates. Every run is recorded at 1 and 2 fault threads
+//! (`SCFLOW_FAULT_THREADS`, which also sizes the PODEM stage), rows
+//! `<name>_t1` / `<name>_t2`, and must give the same result at both. Set
+//! `SCFLOW_ATPG_BENCH_LARGE=1` to add a 10^5-gate run.
 
 use scflow::models::rtl::{build_rtl_src, RtlVariant};
 use scflow::SrcConfig;
 use scflow_gate::fault::{all_fault_sites, collapse_faults};
 use scflow_gate::gen::{generate, GenKind, GenParams, Redundancy};
-use scflow_gate::{generate_tests, insert_scan_chain, AtpgOptions, CellLibrary, GateNetlist};
+use scflow_gate::{
+    generate_tests, insert_scan_chain, AtpgOptions, AtpgResult, CellLibrary, GateNetlist,
+};
 use scflow_synth::rtl::{synthesize, SynthOptions};
 use scflow_testkit::Harness;
 
-struct RunStats {
+/// Fault-thread counts every row is recorded at (the host has two
+/// cores; the result must not depend on the count).
+const THREADS: [u32; 2] = [1, 2];
+
+struct Run {
     faults: usize,
-    detected: usize,
-    untestable: usize,
-    aborted: usize,
-    coverage_pct: f64,
-    patterns: usize,
+    result: AtpgResult,
 }
 
-fn run_atpg(nl: &GateNetlist, lib: &CellLibrary, opts: &AtpgOptions) -> RunStats {
+fn run_atpg(nl: &GateNetlist, lib: &CellLibrary, opts: &AtpgOptions) -> Run {
     let faults = all_fault_sites(nl);
     let collapsed = collapse_faults(nl, &faults);
-    let r = generate_tests(nl, lib, &collapsed.faults, opts);
-    RunStats {
+    Run {
         faults: collapsed.faults.len(),
-        detected: r.detected(),
-        untestable: r.untestable(),
-        aborted: r.aborted(),
-        coverage_pct: r.coverage_pct(),
-        patterns: r.patterns.len(),
+        result: generate_tests(nl, lib, &collapsed.faults, opts),
     }
 }
 
-fn record(h: &mut Harness, s: &RunStats) {
-    h.metric("faults", s.faults as f64);
-    h.metric("detected", s.detected as f64);
-    h.metric("untestable", s.untestable as f64);
-    h.metric("aborted", s.aborted as f64);
-    h.metric("coverage_pct", s.coverage_pct);
-    h.metric("patterns", s.patterns as f64);
+fn record(h: &mut Harness, run: &Run) {
+    let r = &run.result;
+    h.metric("faults", run.faults as f64);
+    h.metric("detected", r.detected() as f64);
+    h.metric("untestable", r.untestable() as f64);
+    h.metric("aborted", r.aborted() as f64);
+    h.metric("coverage_pct", r.coverage_pct());
+    h.metric("patterns", r.patterns.len() as f64);
+    h.metric("decisions", r.stats.decisions as f64);
+    h.metric("backtracks", r.stats.backtracks as f64);
+    h.metric("implied_evals", r.stats.implied_evals as f64);
 }
 
 fn gen_netlist(gates: usize) -> GateNetlist {
     let mut p = GenParams::sized(GenKind::AdderTree, gates, 7);
     p.redundancy = Redundancy::none();
     insert_scan_chain(&generate(&p))
+}
+
+/// One row per entry of [`THREADS`] (`<name>_t<threads>`), each with
+/// `SCFLOW_FAULT_THREADS` set to that count; panics unless every run
+/// yields the same classes and patterns. Returns the first run.
+fn bench_threads(
+    h: &mut Harness,
+    name: &str,
+    nl: &GateNetlist,
+    lib: &CellLibrary,
+    opts: &AtpgOptions,
+) -> Run {
+    let mut first: Option<Run> = None;
+    for threads in THREADS {
+        std::env::set_var("SCFLOW_FAULT_THREADS", threads.to_string());
+        let mut run = None;
+        h.bench(&format!("{name}_t{threads}"), || {
+            let r = run_atpg(nl, lib, opts);
+            let pct = r.result.coverage_pct();
+            run = Some(r);
+            pct
+        });
+        h.set_threads(threads);
+        let run = run.expect("bench ran");
+        record(h, &run);
+        match &first {
+            None => first = Some(run),
+            Some(f) => assert!(
+                f.result.classes == run.result.classes && f.result.patterns == run.result.patterns,
+                "{name}: ATPG result differs between {} and {threads} fault threads",
+                THREADS[0]
+            ),
+        }
+    }
+    std::env::remove_var("SCFLOW_FAULT_THREADS");
+    first.expect("THREADS is not empty")
 }
 
 fn main() {
@@ -65,48 +105,30 @@ fn main() {
 
     let mut h = Harness::new("atpg_coverage").with_iters(1).with_warmup(0);
 
-    let mut src_stats = None;
-    h.bench("atpg_src", || {
-        let s = run_atpg(&src, &lib, &opts);
-        let pct = s.coverage_pct;
-        src_stats = Some(s);
-        pct
-    });
-    let src_stats = src_stats.expect("src bench ran");
-    record(&mut h, &src_stats);
+    let src_run = bench_threads(&mut h, "atpg_src", &src, &lib, &opts);
+    let src = &src_run.result;
     assert!(
-        src_stats.coverage_pct >= 95.0,
+        src.coverage_pct() >= 95.0,
         "SRC stuck-at coverage regressed below 95% ({:.1}%)",
-        src_stats.coverage_pct
+        src.coverage_pct()
     );
 
-    let mut gen_stats = None;
     let gen10k = gen_netlist(10_000);
-    h.bench("atpg_gen_adder_10k", || {
-        let s = run_atpg(&gen10k, &lib, &opts);
-        let pct = s.coverage_pct;
-        gen_stats = Some(s);
-        pct
-    });
-    record(&mut h, &gen_stats.expect("gen bench ran"));
+    bench_threads(&mut h, "atpg_gen_adder_10k", &gen10k, &lib, &opts);
 
     let large = std::env::var("SCFLOW_ATPG_BENCH_LARGE").is_ok_and(|v| v == "1");
     if large {
-        let mut stats = None;
         let gen100k = gen_netlist(100_000);
-        h.bench("atpg_gen_adder_100k", || {
-            let s = run_atpg(&gen100k, &lib, &opts);
-            let pct = s.coverage_pct;
-            stats = Some(s);
-            pct
-        });
-        record(&mut h, &stats.expect("large gen bench ran"));
+        bench_threads(&mut h, "atpg_gen_adder_100k", &gen100k, &lib, &opts);
     }
 
     print!("{}", h.table());
     println!(
         "\nSRC: {} collapsed faults, {:.1}% coverage, {} compacted patterns ({} aborted)",
-        src_stats.faults, src_stats.coverage_pct, src_stats.patterns, src_stats.aborted
+        src_run.faults,
+        src.coverage_pct(),
+        src.patterns.len(),
+        src.aborted()
     );
     if !large {
         println!("set SCFLOW_ATPG_BENCH_LARGE=1 for the 10^5-gate run");

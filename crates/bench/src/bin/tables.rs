@@ -60,6 +60,9 @@ fn main() {
         std::process::exit(2);
     }
 
+    // Malformed ATPG knobs are usage errors, rejected before any work.
+    let atpg_knobs = has("--atpg").then(atpg_knobs);
+
     // --down switches to the 48 kHz -> 44.1 kHz configuration.
     let cfg = if args.iter().any(|a| a == "--down") {
         SrcConfig::dvd_to_cd()
@@ -321,7 +324,7 @@ fn main() {
     if has("--atpg") {
         println!("=== ATPG: staged random + PODEM test generation (SCFLOW_ATPG_* knobs) ===\n");
         let lib = scflow_gate::CellLibrary::generic_025u();
-        let opts = scflow_gate::AtpgOptions::from_env();
+        let (opts, min) = atpg_knobs.expect("read when --atpg is set");
         match scflow::flow::run_atpg_flow(&cfg, &lib, &opts) {
             Ok((report, result)) => {
                 println!("{report}");
@@ -343,17 +346,12 @@ fn main() {
                 );
                 metrics_out.merge_from(&reg);
                 emit_metrics = true;
-                // Optional floor assert for CI: SCFLOW_ATPG_MIN=95 fails
-                // the run below that collapsed stuck-at coverage.
-                if let Ok(min) = std::env::var("SCFLOW_ATPG_MIN") {
-                    let min: f64 = min.parse().unwrap_or(0.0);
-                    if report.coverage_pct < min {
-                        eprintln!(
-                            "FAILED: ATPG coverage {:.1}% below SCFLOW_ATPG_MIN={min}%",
-                            report.coverage_pct
-                        );
-                        std::process::exit(1);
-                    }
+                if let Some(min) = min.filter(|&m| report.coverage_pct < m) {
+                    eprintln!(
+                        "FAILED: ATPG coverage {:.1}% below SCFLOW_ATPG_MIN={min}%",
+                        report.coverage_pct
+                    );
+                    std::process::exit(1);
                 }
             }
             Err(e) => {
@@ -451,4 +449,24 @@ fn main() {
         let path = scflow_bench::write_metrics_json(&metrics_out, profile_out.as_ref());
         println!("wrote {}", path.display());
     }
+}
+
+/// The `--atpg` knobs: the `SCFLOW_ATPG_*` generator options and the
+/// optional `SCFLOW_ATPG_MIN` coverage floor (a CI assert: the run fails
+/// below that collapsed stuck-at coverage). Exits 2 on a malformed value.
+fn atpg_knobs() -> (scflow_gate::AtpgOptions, Option<f64>) {
+    let usage = |msg: String| -> ! {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    };
+    let opts = scflow_gate::AtpgOptions::from_env().unwrap_or_else(|e| usage(e.to_string()));
+    let min = std::env::var("SCFLOW_ATPG_MIN")
+        .ok()
+        .map(|v| match v.trim().parse::<f64>() {
+            Ok(m) if m.is_finite() => m,
+            _ => usage(format!(
+                "SCFLOW_ATPG_MIN={v:?}: expected a finite percentage"
+            )),
+        });
+    (opts, min)
 }

@@ -70,7 +70,9 @@ mod timing;
 mod verilog;
 
 pub use area::AreaReport;
-pub use atpg::{generate_tests, AtpgOptions, AtpgResult, AtpgStats, CurvePoint, FaultClass};
+pub use atpg::{
+    generate_tests, AtpgEnvError, AtpgOptions, AtpgResult, AtpgStats, CurvePoint, FaultClass,
+};
 pub use bitpar::BitGateSim;
 pub use celllib::{CellKind, CellLibrary, CellSpec};
 pub use compile::GateProgram;
