@@ -53,17 +53,16 @@ fn patterns_detect_on_both_engines_across_families() {
         );
 
         // PPSFP replay over the full collapsed list: the detected set of
-        // the emitted patterns must include every Detected verdict.
+        // the emitted patterns must equal the Detected verdicts.
         let ppsfp = fault_coverage(&nl, &lib, &collapsed.faults, &r.patterns);
         for (i, class) in r.classes.iter().enumerate() {
-            if matches!(class, FaultClass::Detected { .. }) {
-                assert!(
-                    ppsfp.detected_mask[i],
-                    "{kind:?}: fault {:?} classified Detected but the emitted \
-                     patterns miss it on BitGateSim",
-                    collapsed.faults[i]
-                );
-            }
+            let credited = matches!(class, FaultClass::Detected { .. });
+            assert_eq!(
+                credited, ppsfp.detected_mask[i],
+                "{kind:?}: fault {:?} classified {class:?}, but detected by \
+                 the emitted patterns on BitGateSim = {}",
+                collapsed.faults[i], ppsfp.detected_mask[i]
+            );
         }
 
         // Serial event-driven replay on a strided subset: the reference
