@@ -161,8 +161,9 @@ echo "ok: BENCH_opt.json emitted (floor enforced by the bench)"
 
 echo "== ATPG property suite (two-engine replay + exhaustive cross-check) =="
 # Every pattern set replays identically on GateSim and BitGateSim and
-# covers every Detected verdict; Untestable verdicts match brute-force
-# enumeration on small frames. Seeds are pinned inside the suite.
+# detects exactly the Detected verdicts; Untestable verdicts match
+# brute-force enumeration on small frames. Seeds are pinned inside the
+# suite.
 cargo test --release -q --offline -p scflow-gate --test atpg_properties
 cargo test --release -q --offline -p scflow --test atpg_flow
 
@@ -173,8 +174,9 @@ cargo run --release --offline -p scflow-bench --bin tables -- --check-atpg
 
 echo "== ATPG coverage floor + thread determinism =="
 # The full staged run must reach 95% collapsed stuck-at coverage on the
-# SRC, and its METRICS.json (patterns, per-stage curve, decision and
-# backtrack counts) must be byte-identical at 1 and 4 fault threads.
+# SRC, and its METRICS.json (patterns, per-stage curve, decision,
+# backtrack and implication counts) must be byte-identical at 1 and 4
+# fault threads (PODEM runs on the fault threads too).
 mkdir -p "$covdir/atpg1" "$covdir/atpg4"
 SCFLOW_BENCH_DIR="$covdir/atpg1" SCFLOW_FAULT_THREADS=1 SCFLOW_ATPG_MIN=95 \
     cargo run --release --offline -p scflow-bench --bin tables -- --atpg
@@ -184,8 +186,9 @@ cmp "$covdir/atpg1/METRICS.json" "$covdir/atpg4/METRICS.json"
 echo "ok: ATPG >=95% on SRC, byte-identical at 1 and 4 fault threads"
 
 echo "== ATPG coverage bench (BENCH_atpg.json) =="
-# SRC plus a 10^4-gate generated netlist; the bench itself asserts the
-# 95% SRC floor.
+# SRC plus a 10^4-gate generated netlist, each at 1 and 2 fault
+# threads; the bench itself asserts the 95% SRC floor and equal results
+# at both thread counts.
 SCFLOW_BENCH_DIR="$covdir" \
     cargo bench --offline -q -p scflow-bench --bench atpg_coverage
 test -s "$covdir/BENCH_atpg.json"
