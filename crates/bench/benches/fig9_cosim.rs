@@ -6,7 +6,7 @@ use scflow::models::rtl::{build_rtl_src, RtlVariant};
 use scflow::verify::GoldenVectors;
 use scflow::{stimulus, SrcConfig};
 use scflow_cosim::{run_kernel_cosim, run_native_hdl, run_native_hdl_compiled};
-use scflow_gate::{CellLibrary, FastGateSim, GateProgram, GateSim, ParGateSim};
+use scflow_gate::{CellLibrary, GateProgram, GateSim};
 use scflow_rtl::{CompiledProgram, RtlSim};
 use scflow_synth::rtl::{synthesize, SynthOptions};
 use scflow_testkit::Harness;
@@ -56,19 +56,8 @@ fn main() {
         let mut dut = rtl_program.simulator();
         std::hint::black_box(run_kernel_cosim(&mut dut, &golden, 1_000_000)).cycles
     });
-    // The same gate netlist on the accelerated engines, appended after
-    // the paper's rows: levelized fast mode, then the compiled
-    // bit-parallel engine in single-pattern mode.
-    let mut fast_dut = FastGateSim::new(&gate_rtl).expect("gate netlist levelizes");
-    h.bench_cycles("gate_fast_dut_vhdl_tb", || {
-        fast_dut.reset();
-        std::hint::black_box(run_native_hdl(&mut fast_dut, &golden, 1_000_000)).cycles
-    });
-    let mut fast_dut = FastGateSim::new(&gate_rtl).expect("gate netlist levelizes");
-    h.bench_cycles("gate_fast_dut_systemc_tb", || {
-        fast_dut.reset();
-        std::hint::black_box(run_kernel_cosim(&mut fast_dut, &golden, 1_000_000)).cycles
-    });
+    // The same gate netlist on the compiled bit-parallel engine in
+    // single-pattern mode, appended after the paper's rows.
     let gate_prog = GateProgram::compile(&gate_rtl).expect("gate netlist compiles");
     let mut bitpar_dut = gate_prog.simulator();
     h.bench_cycles("gate_bitpar_dut_vhdl_tb", || {
@@ -80,18 +69,6 @@ fn main() {
         bitpar_dut.reset();
         std::hint::black_box(run_kernel_cosim(&mut bitpar_dut, &golden, 1_000_000)).cycles
     });
-    // The partitioned multi-threaded engine on the same netlist, at a
-    // thread-scaling ladder; each row records its thread count in the
-    // JSON so the scaling curve can be reconstructed from the artefact.
-    for threads in [1u32, 2, 4, 8] {
-        ParGateSim::with(&gate_prog, threads as usize, 1, |dut| {
-            h.bench_cycles(&format!("gate_partitioned_t{threads}_dut_systemc_tb"), || {
-                dut.reset();
-                std::hint::black_box(run_kernel_cosim(dut, &golden, 1_000_000)).cycles
-            });
-        });
-        h.set_threads(threads);
-    }
     print!("{}", h.table());
 
     // Full figure (all six bars), printed once.

@@ -1,18 +1,14 @@
-//! Compile-pass scaling bench: throughput of the gate engines with the
-//! pass pipeline off vs on (`opt0` vs `opt2`), across generated
-//! circuits from 10^3 to 10^5 gates, plus the RTL bytecode pipeline on
-//! the SRC design. Emits `BENCH_opt.json`.
+//! Compile-pass scaling bench: throughput of the compiled gate engine
+//! with the pass pipeline off vs on (`opt0` vs `opt2`), across
+//! generated circuits from 10^3 to 10^5 gates, plus the RTL bytecode
+//! pipeline on the SRC design. Emits `BENCH_opt.json`.
 //!
 //! Each size row generates one deterministic netlist
 //! ([`scflow_gate::gen`]) carrying the default redundancy dose (~1/3
 //! of the cells removable), optimizes a copy at level 2, and measures
-//! simulated cycles per wall second on:
-//!
-//! * `gate.fast`   — the zero-delay levelized engine over the netlist,
-//! * `gate.bitpar` — the compiled bit-parallel engine in
-//!   single-pattern mode,
-//!
-//! for both variants. A light output cross-check runs alongside the
+//! simulated cycles per wall second of `gate.bitpar` — the compiled
+//! bit-parallel engine in single-pattern mode — on both variants. A
+//! light output cross-check runs alongside the
 //! timing (the full byte-differential lives in the test suites). The
 //! bench exits non-zero if the level-2 `gate.bitpar` throughput at the
 //! largest size falls under the floor (`SCFLOW_OPT_MIN`, default
@@ -21,7 +17,7 @@
 use scflow::models::rtl::{build_rtl_src, RtlVariant};
 use scflow::SrcConfig;
 use scflow_gate::gen::{generate, GenKind, GenParams};
-use scflow_gate::{optimize, FastGateSim, GateProgram, NetlistStats, Simulation};
+use scflow_gate::{optimize, GateProgram, NetlistStats, Simulation};
 use scflow_hwtypes::{Bv, PassConfig};
 use scflow_rtl::CompiledProgram;
 use scflow_testkit::Harness;
@@ -30,14 +26,6 @@ use scflow_testkit::Harness;
 /// (gates) trims the sweep for quick runs; the floor is always taken
 /// at the largest size that ran.
 const SIZES: [usize; 3] = [1_000, 10_000, 100_000];
-
-/// Poke the stimulus port and run; the generated designs keep
-/// themselves busy through their LFSR state rows.
-fn drive(sim: &mut (impl Simulation + ?Sized), cycles: u64) -> u64 {
-    sim.poke("a", Bv::new(0x5a, 8));
-    sim.run_cycles(cycles);
-    cycles
-}
 
 fn main() {
     let max_gates: usize = std::env::var("SCFLOW_OPT_BENCH_MAX")
@@ -91,14 +79,6 @@ fn main() {
         }
 
         for (variant, netlist) in [("opt0", &nl), ("opt2", &opt.netlist)] {
-            let r = h.bench_cycles(&format!("gate.fast/{size}/{variant}"), || {
-                let mut sim = FastGateSim::new(netlist).expect("levelizes");
-                drive(&mut sim, cycles)
-            });
-            let fast_cps = r.cycles_per_sec.unwrap_or(0.0);
-            h.metric("gates", netlist.comb_count() as f64);
-            let _ = fast_cps;
-
             let program = GateProgram::compile(netlist).expect("compiles");
             let mut sim = program.simulator();
             sim.poke("a", Bv::new(0x5a, 8));

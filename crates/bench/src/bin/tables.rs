@@ -216,7 +216,6 @@ fn main() {
         let check = scflow_bench::check_gate_engines(&cfg, 30);
         println!("{:<14} {:>16}", "engine", "cycles/sec");
         println!("{:<14} {:>16.0}", "event-driven", check.event_cps);
-        println!("{:<14} {:>16.0}", "fast", check.fast_cps);
         println!("{:<14} {:>16.0}", "bit-parallel", check.bitpar_cps);
         println!("DUT speedup (bitpar vs event): {:.2}x", check.dut_speedup());
         println!(

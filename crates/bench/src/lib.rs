@@ -24,7 +24,7 @@ use scflow::verify::GoldenVectors;
 use scflow::{stimulus, SrcConfig};
 use scflow_cosim::{run_kernel_cosim, run_native_hdl, run_native_hdl_compiled, CosimRun};
 use scflow_gate::fault;
-use scflow_gate::{sim_threads, CellLibrary, FastGateSim, GateProgram, GateSim, ParGateSim};
+use scflow_gate::{CellLibrary, GateProgram, GateSim};
 use scflow_rtl::{CompiledProgram, RtlSim};
 use scflow_synth::beh::synthesize_beh;
 use scflow_synth::rtl::{synthesize, SynthOptions};
@@ -345,29 +345,10 @@ pub fn measure_fig9(cfg: &SrcConfig, n_inputs: usize) -> Vec<Fig9Row> {
         "SystemC-TB",
         Box::new(|| run_kernel_cosim(&mut rtl_program.simulator(), &golden, budget).cycles),
     );
-    // The gate-level RTL artefact on the two accelerated gate engines,
-    // likewise appended after the paper's bars: the zero-delay levelized
-    // fast mode and the compiled bit-parallel engine in single-pattern
-    // mode. Same netlist, same testbenches, so the rows read directly
-    // against the Gate-RTL bars above.
-    let mut gate_rtl_fast = FastGateSim::new(&gate_rtl).expect("gate netlist levelizes");
-    measure(
-        "Gate-fast",
-        "VHDL-TB",
-        Box::new(|| {
-            gate_rtl_fast.reset();
-            run_native_hdl(&mut gate_rtl_fast, &golden, budget).cycles
-        }),
-    );
-    let mut gate_rtl_fast = FastGateSim::new(&gate_rtl).expect("gate netlist levelizes");
-    measure(
-        "Gate-fast",
-        "SystemC-TB",
-        Box::new(|| {
-            gate_rtl_fast.reset();
-            run_kernel_cosim(&mut gate_rtl_fast, &golden, budget).cycles
-        }),
-    );
+    // The gate-level RTL artefact on the compiled bit-parallel engine in
+    // single-pattern mode, likewise appended after the paper's bars.
+    // Same netlist, same testbenches, so the rows read directly against
+    // the Gate-RTL bars above.
     let gate_rtl_prog = GateProgram::compile(&gate_rtl).expect("gate netlist compiles");
     let mut gate_rtl_bitpar = gate_rtl_prog.simulator();
     measure(
@@ -396,8 +377,6 @@ pub fn measure_fig9(cfg: &SrcConfig, n_inputs: usize) -> Vec<Fig9Row> {
 pub struct GateEngineCheck {
     /// Event-driven engine throughput, simulated cycles per wall second.
     pub event_cps: f64,
-    /// Levelized fast-mode throughput, simulated cycles per wall second.
-    pub fast_cps: f64,
     /// Compiled bit-parallel engine throughput (single-pattern mode).
     pub bitpar_cps: f64,
     /// Wall time of serial per-fault coverage on the fault subset.
@@ -426,7 +405,7 @@ impl GateEngineCheck {
     }
 }
 
-/// Races the three gate-level engines on the synthesized RTL SRC (best of
+/// Races the two gate-level engines on the synthesized RTL SRC (best of
 /// 3 each, bit-identical outputs asserted), then cross-checks PPSFP fault
 /// simulation against the serial per-fault reference on a fault subset.
 /// Used by `tables --check-gate` and `scripts/verify.sh` to catch a
@@ -461,11 +440,6 @@ pub fn check_gate_engines(cfg: &SrcConfig, n_inputs: usize) -> GateEngineCheck {
         event.reset();
         run_native_hdl(&mut event, &golden, budget)
     });
-    let mut fast = FastGateSim::new(&gate_rtl).expect("gate netlist levelizes");
-    let fast_cps = best(&mut || {
-        fast.reset();
-        run_native_hdl(&mut fast, &golden, budget)
-    });
     let prog = GateProgram::compile(&gate_rtl).expect("gate netlist compiles");
     let mut bitpar = prog.simulator();
     let bitpar_cps = best(&mut || {
@@ -490,7 +464,6 @@ pub fn check_gate_engines(cfg: &SrcConfig, n_inputs: usize) -> GateEngineCheck {
 
     GateEngineCheck {
         event_cps,
-        fast_cps,
         bitpar_cps,
         fault_serial_wall,
         fault_ppsfp_wall,
@@ -576,23 +549,12 @@ pub fn check_opt(cfg: &SrcConfig, n_inputs: usize) -> Vec<OptCheckRow> {
         };
         run_native_hdl(&mut sim, &golden, budget)
     });
-    measure("gate.fast", &mut |on| {
-        let nl = if on { &opt_nl } else { &netlist };
-        let mut sim = FastGateSim::new(nl).expect("levelizes");
-        run_native_hdl(&mut sim, &golden, budget)
-    });
     let g0 = GateProgram::compile(&netlist).expect("gate compiles");
     let g2 = GateProgram::compile(&opt_nl).expect("optimized gate compiles");
     measure("gate.bitpar", &mut |on| {
         let prog = if on { &g2 } else { &g0 };
         let mut sim = prog.simulator();
         run_native_hdl(&mut sim, &golden, budget)
-    });
-    measure("gate.partitioned", &mut |on| {
-        let prog = if on { &g2 } else { &g0 };
-        ParGateSim::with(prog, sim_threads(), 1, |sim| {
-            run_native_hdl(sim, &golden, budget)
-        })
     });
     rows
 }
@@ -783,8 +745,7 @@ pub struct CoverageReport {
     /// (identical on the interpreted and compiled engines, asserted).
     pub rtl_map: String,
     /// Per-cell-output toggle map of the synthesized netlist (identical
-    /// on the event-driven, fast, bit-parallel and partitioned engines,
-    /// asserted).
+    /// on the event-driven and bit-parallel engines, asserted).
     pub gate_map: String,
     /// RTL toggle coverage, percent of net bits that both rose and fell.
     pub rtl_percent: f64,
@@ -797,9 +758,9 @@ pub struct CoverageReport {
     pub metrics: scflow_obs::MetricsRegistry,
 }
 
-/// Runs the fig8 stimulus through all six engines — interpreted and
-/// compiled RTL on the optimised SRC, event-driven, fast, bit-parallel
-/// and partitioned on its synthesized netlist — with toggle coverage
+/// Runs the fig8 stimulus through all four engines — interpreted and
+/// compiled RTL on the optimised SRC, event-driven and bit-parallel on
+/// its synthesized netlist — with toggle coverage
 /// enabled, asserts bit accuracy against the golden model, and
 /// cross-checks that the coverage maps within each level are
 /// byte-identical (the engines sample settled values at the same cycle
@@ -846,19 +807,11 @@ pub fn measure_coverage(cfg: &SrcConfig) -> CoverageReport {
     let mut event = GateSim::new(&netlist, &lib);
     let (gate_map, gate_percent) =
         run_covered(&mut event, "gate.event", Some("coverage.toggle.gate"), &mut reg);
-    let mut fast = FastGateSim::new(&netlist).expect("gate netlist levelizes");
-    let (fast_map, _) = run_covered(&mut fast, "gate.fast", None, &mut reg);
     let gprog = GateProgram::compile(&netlist).expect("gate netlist compiles");
     let mut bitpar = gprog.simulator();
     let (bitpar_map, _) = run_covered(&mut bitpar, "gate.bitpar", None, &mut reg);
-    let (par_map, _) = ParGateSim::with(&gprog, sim_threads(), 1, |sim| {
-        run_covered(sim, "gate.partitioned", None, &mut reg)
-    });
 
-    let maps_match = compiled_map == rtl_map
-        && fast_map == gate_map
-        && bitpar_map == gate_map
-        && par_map == gate_map;
+    let maps_match = compiled_map == rtl_map && bitpar_map == gate_map;
     CoverageReport {
         rtl_map,
         gate_map,

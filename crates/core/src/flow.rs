@@ -21,9 +21,7 @@ use crate::models::harness::{run_fixed, run_handshake};
 use crate::models::rtl::{build_rtl_src, RtlVariant};
 use crate::models::vhdl_ref::build_vhdl_ref;
 use crate::verify::{compare_bit_accurate, GoldenVectors};
-use scflow_gate::{
-    fault, sim_threads, CellLibrary, FastGateSim, GateNetlist, GateProgram, GateSim, ParGateSim,
-};
+use scflow_gate::{fault, CellLibrary, GateNetlist, GateProgram, GateSim};
 use scflow_obs::{MetricsRegistry, Profiler};
 use scflow_hwtypes::PassConfig;
 use scflow_rtl::{CompiledProgram, Module, RtlSim};
@@ -31,10 +29,6 @@ use scflow_synth::rtl::{synthesize, SynthOptions, SynthResult};
 use std::fmt;
 
 pub use crate::error::ScflowError;
-
-/// Former name of [`ScflowError`], kept as an alias for existing callers.
-#[deprecated(since = "0.1.0", note = "renamed to `ScflowError`")]
-pub type FlowError = ScflowError;
 
 /// Which RTL simulation engine the flow drives.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -88,48 +82,22 @@ pub enum GateEngine {
     /// Figure 9 bars.
     #[default]
     EventDriven,
-    /// The zero-delay levelized fast mode with activity gating
-    /// ([`FastGateSim`]).
-    Fast,
     /// The compiled bit-parallel engine in single-pattern mode
     /// ([`BitGateSim`](scflow_gate::BitGateSim)).
     BitParallel,
-    /// The partitioned multi-threaded engine
-    /// ([`ParGateSim`](scflow_gate::ParGateSim)) on
-    /// [`sim_threads`](scflow_gate::sim_threads) workers
-    /// (`SCFLOW_SIM_THREADS`), byte-identical to the bit-parallel engine
-    /// at any thread count.
-    Partitioned,
-}
-
-impl GateEngine {
-    /// Reads the engine choice from the `SCFLOW_GATE_ENGINE` environment
-    /// variable (`event`, `fast`, `bitpar` or `partitioned`,
-    /// case-insensitive). Unset or unrecognised values fall back to the
-    /// default ([`GateEngine::EventDriven`]).
-    pub fn from_env() -> Self {
-        match std::env::var("SCFLOW_GATE_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("fast") => GateEngine::Fast,
-            Ok(v) if v.eq_ignore_ascii_case("bitpar") => GateEngine::BitParallel,
-            Ok(v) if v.eq_ignore_ascii_case("partitioned") => GateEngine::Partitioned,
-            _ => GateEngine::EventDriven,
-        }
-    }
 }
 
 impl fmt::Display for GateEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             GateEngine::EventDriven => "event",
-            GateEngine::Fast => "fast",
             GateEngine::BitParallel => "bitpar",
-            GateEngine::Partitioned => "partitioned",
         })
     }
 }
 
 /// Configuration of the `scflow-serve` simulation service, following
-/// the same knob convention as the engine selectors above: every field
+/// the same knob convention as [`SimEngine::from_env`]: every field
 /// has an `SCFLOW_*` environment variable and a safe default.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServeOptions {
@@ -539,7 +507,7 @@ fn tie_off_scan(sim: &mut (impl scflow_sim_api::Simulation + ?Sized)) {
 ///
 /// Returns [`ScflowError::Accuracy`] on the first output mismatch, and
 /// propagates [`GateError::CombLoop`](scflow_gate::GateError) from the
-/// levelized engines.
+/// compiled engine.
 pub fn validate_gate_level_with(
     engine: GateEngine,
     design: &str,
@@ -566,23 +534,11 @@ pub fn validate_gate_level_with(
             tie_off_scan(&mut sim);
             run_and_compare(&mut sim, design, golden, false)
         }
-        GateEngine::Fast => {
-            let mut sim = FastGateSim::new(netlist)?;
-            tie_off_scan(&mut sim);
-            run_and_compare(&mut sim, design, golden, false)
-        }
         GateEngine::BitParallel => {
             let program = GateProgram::compile(netlist)?;
             let mut sim = program.simulator();
             tie_off_scan(&mut sim);
             run_and_compare(&mut sim, design, golden, false)
-        }
-        GateEngine::Partitioned => {
-            let program = GateProgram::compile(netlist)?;
-            ParGateSim::with(&program, sim_threads(), 1, |sim| {
-                tie_off_scan(sim);
-                run_and_compare(sim, design, golden, false)
-            })
         }
     }
 }

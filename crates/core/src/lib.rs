@@ -85,7 +85,7 @@ pub mod prelude {
     pub use crate::models::harness::{run_fixed, run_handshake};
     pub use crate::verify::{compare_bit_accurate, GoldenVectors};
     pub use crate::{design_prototype, stimulus, CoefficientRom, SrcConfig};
-    pub use scflow_gate::{CellLibrary, FastGateSim, GateError, GateSim};
+    pub use scflow_gate::{CellLibrary, GateError, GateSim};
     pub use scflow_hwtypes::Bv;
     pub use scflow_rtl::{CompiledProgram, CompiledSim, Module, RtlError, RtlSim};
     pub use scflow_sim_api::{EngineStats, SimError, Simulation};

@@ -11,38 +11,6 @@
 use scflow_hwtypes::Bv;
 use scflow_sim_api::{PortHandle, Simulation};
 
-/// Compatibility shim for the pre-`Simulation` testbench vocabulary.
-///
-/// Every [`Simulation`] engine gets these methods via a blanket impl, so
-/// existing testbenches keep compiling; new code should use the
-/// [`Simulation`] methods directly (`poke`/`peek`/`settle`/`step`).
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `Simulation` trait: `set`/`get`/`settle_comb`/`clock` are `poke`/`peek`/`settle`/`step`"
-)]
-pub trait CycleSim: Simulation {
-    /// Drives an input port (alias of [`Simulation::poke`]).
-    fn set(&mut self, port: &str, value: Bv) {
-        self.poke(port, value);
-    }
-    /// Reads an output port (alias of [`Simulation::peek`]; unknown
-    /// gate-level bits read as zero).
-    fn get(&mut self, port: &str) -> Bv {
-        self.peek(port)
-    }
-    /// Settles combinational logic (alias of [`Simulation::settle`]).
-    fn settle_comb(&mut self) {
-        Simulation::settle(self);
-    }
-    /// Advances one clock cycle (alias of [`Simulation::step`]).
-    fn clock(&mut self) {
-        self.step();
-    }
-}
-
-#[allow(deprecated)]
-impl<S: Simulation + ?Sized> CycleSim for S {}
-
 /// Ties off the scan chain if the DUT has one (gate-level netlists do).
 fn tie_off_scan(sim: &mut (impl Simulation + ?Sized)) {
     if sim.has_input("scan_en") {

@@ -71,21 +71,9 @@ fn atpg_flow_deterministic_across_thread_counts() {
     let lib = CellLibrary::generic_025u();
     let opts = quick_opts();
 
-    let configs: [(&str, Option<&str>); 6] = [
-        ("1", None),
-        ("2", None),
-        ("4", None),
-        ("8", None),
-        ("2", Some("1")),
-        ("4", Some("1")),
-    ];
     let mut reference = None;
-    for (threads, part) in configs {
+    for threads in ["1", "2", "4", "8"] {
         std::env::set_var("SCFLOW_FAULT_THREADS", threads);
-        match part {
-            Some(v) => std::env::set_var("SCFLOW_FAULT_PARTITIONED", v),
-            None => std::env::remove_var("SCFLOW_FAULT_PARTITIONED"),
-        }
         let (report, result) = scflow::flow::run_atpg_flow(&cfg, &lib, &opts).expect("flow");
         // Effort counters sum committed PODEM searches only: speculative
         // work the in-order commit discards must not leak into them.
@@ -111,8 +99,7 @@ fn atpg_flow_deterministic_across_thread_counts() {
                     .or_else(|| scflow_testkit::first_divergence("effort", effort, &key.3));
                 assert!(
                     div.is_none(),
-                    "ATPG output diverged at SCFLOW_FAULT_THREADS={threads} \
-                     SCFLOW_FAULT_PARTITIONED={part:?}: {}",
+                    "ATPG output diverged at SCFLOW_FAULT_THREADS={threads}: {}",
                     div.unwrap()
                 );
                 assert_eq!(ref_cov, &report.coverage_pct);
@@ -120,5 +107,4 @@ fn atpg_flow_deterministic_across_thread_counts() {
         }
     }
     std::env::remove_var("SCFLOW_FAULT_THREADS");
-    std::env::remove_var("SCFLOW_FAULT_PARTITIONED");
 }

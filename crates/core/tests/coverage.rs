@@ -8,7 +8,7 @@ use scflow::models::harness::run_handshake;
 use scflow::models::rtl::{build_rtl_src, RtlVariant};
 use scflow::verify::GoldenVectors;
 use scflow::{stimulus, SrcConfig};
-use scflow_gate::{CellLibrary, FastGateSim, GateProgram, GateSim};
+use scflow_gate::{CellLibrary, GateProgram, GateSim};
 use scflow_hwtypes::Bv;
 use scflow_rtl::{CompiledProgram, RtlSim};
 use scflow_sim_api::Simulation;
@@ -64,7 +64,8 @@ fn buggy_variant_leaves_gate_level_coverage_delta() {
         let netlist = synthesize(&module, &lib, &SynthOptions::default())
             .expect("synth")
             .netlist;
-        let mut sim = FastGateSim::new(&netlist).expect("levelizes");
+        let prog = GateProgram::compile(&netlist).expect("compiles");
+        let mut sim = prog.simulator();
         runs.push(covered_run(&mut sim, &golden));
     }
     let (good_map, _, good_flips) = &runs[0];
@@ -96,21 +97,21 @@ fn toggle_maps_identical_across_all_five_engines_on_pinned_seed() {
         rtl_map, compiled_map,
         "interpreted and compiled RTL toggle maps must be byte-identical"
     );
+    let mut lanes = prog.bit_simulator();
+    let (lanes_map, ..) = covered_run(&mut lanes, &golden);
+    assert_eq!(
+        rtl_map, lanes_map,
+        "interpreted and bit-parallel RTL toggle maps must be byte-identical"
+    );
 
     let netlist = synthesize(&module, &lib, &SynthOptions::default())
         .expect("synth")
         .netlist;
     let mut event = GateSim::new(&netlist, &lib);
     let (event_map, ..) = covered_run(&mut event, &golden);
-    let mut fast = FastGateSim::new(&netlist).expect("levelizes");
-    let (fast_map, ..) = covered_run(&mut fast, &golden);
     let gprog = GateProgram::compile(&netlist).expect("compiles");
     let mut bitpar = gprog.simulator();
     let (bitpar_map, ..) = covered_run(&mut bitpar, &golden);
-    assert_eq!(
-        event_map, fast_map,
-        "event-driven and fast gate toggle maps must be byte-identical"
-    );
     assert_eq!(
         event_map, bitpar_map,
         "event-driven and bit-parallel gate toggle maps must be byte-identical"

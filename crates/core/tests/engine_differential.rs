@@ -1,15 +1,8 @@
 //! Differential tests: the compiled levelized engine against the
 //! interpreter on every synthesisable SRC design of the flow — the five
 //! variants (BEH unopt/opt, RTL unopt/opt, VHDL reference) plus the
-//! buggy RTL variant — and the zero-delay gate engine against the
-//! event-driven gate simulator. Byte-identical output streams and cycle
-//! counts, same violation streams, on sine and seeded-noise stimuli.
-//!
-//! Also pins **thread-count determinism** for the partitioned gate
-//! engine: outputs, violations, coverage and the rendered deterministic
-//! metrics JSON must be identical at 1/2/4/8 simulation threads (the
-//! `SCFLOW_SIM_THREADS` ladder), including PPSFP fault simulation run
-//! over the partitioned engine.
+//! buggy RTL variant. Byte-identical output streams and cycle counts,
+//! same violation streams, on sine and seeded-noise stimuli.
 
 use scflow::models::beh::{synthesize_beh_src, BehVariant};
 use scflow::models::harness::{run_fixed, run_handshake};
@@ -145,120 +138,5 @@ fn compiled_engine_still_catches_the_buggy_variant() {
             "{variant:?}: the overrun is {} by the compiled engine",
             if should_violate { "caught" } else { "absent" }
         );
-    }
-}
-
-/// The `SCFLOW_SIM_THREADS` ladder the determinism tests sweep. The
-/// container may expose a single core — the point is exactly that
-/// oversubscribed thread counts must not change any deterministic
-/// artifact.
-const THREAD_LADDER: [usize; 4] = [1, 2, 4, 8];
-
-#[test]
-fn partitioned_gate_engine_is_thread_count_deterministic() {
-    use scflow_gate::{CellLibrary, GateProgram, ParGateSim, Simulation};
-    use scflow_hwtypes::Bv;
-    use scflow_synth::rtl::{synthesize, SynthOptions};
-
-    let cfg = SrcConfig::cd_to_dvd();
-    let lib = CellLibrary::generic_025u();
-    // Short stimulus: per-level barrier storms are expensive on an
-    // oversubscribed single core, and determinism needs no volume.
-    let input = stimulus::sine(8, 1000.0, f64::from(cfg.in_rate), 9000.0);
-    let golden = GoldenVectors::generate(&cfg, input);
-    let budget = scflow::flow::cycle_budget(golden.len());
-    let module = build_rtl_src(&cfg, RtlVariant::Optimised).expect("rtl opt");
-    let nl = synthesize(&module, &lib, &SynthOptions::default())
-        .expect("synthesizes")
-        .netlist;
-    let prog = GateProgram::compile(&nl).expect("compiles");
-
-    let mut reference: Option<((Vec<i16>, u64), Vec<String>, String)> = None;
-    for threads in THREAD_LADDER {
-        let artifacts = ParGateSim::with(&prog, threads, 1, |sim| {
-            sim.set_coverage(true);
-            for port in ["scan_en", "scan_in", "test_mode"] {
-                if Simulation::has_input(sim, port) {
-                    Simulation::poke(sim, port, Bv::zero(1));
-                }
-            }
-            let run = run_handshake(sim, &golden.input, golden.len(), budget);
-            let violations: Vec<String> =
-                sim.violations().iter().map(|v| format!("{v:?}")).collect();
-            // The deterministic METRICS.json body: engine counters plus
-            // coverage aggregates. Wall-clock profile spans live outside
-            // the registry, so the rendered JSON must be byte-stable.
-            let metrics = Simulation::metrics(sim).expect("gate metrics");
-            let json = scflow_obs::render_metrics_json(&metrics, None);
-            (run, violations, json)
-        });
-        assert_eq!(
-            artifacts.0 .0,
-            golden.output,
-            "{threads} threads: bit-accurate against the golden model"
-        );
-        match &reference {
-            None => reference = Some(artifacts),
-            Some(r) => {
-                assert_eq!(r.0, artifacts.0, "{threads} threads: (outputs, cycles)");
-                assert_eq!(r.1, artifacts.1, "{threads} threads: violation stream");
-                assert_eq!(r.2, artifacts.2, "{threads} threads: rendered METRICS.json");
-            }
-        }
-    }
-}
-
-#[test]
-fn ppsfp_over_partitioned_is_thread_count_deterministic() {
-    use scflow_gate::fault::{
-        all_fault_sites, fault_coverage_instrumented_with_threads,
-        fault_coverage_partitioned_with_threads, random_patterns,
-    };
-    use scflow_gate::{insert_scan_chain, CellKind, CellLibrary, NetlistBuilder};
-
-    // A small scan design (the SRC netlist would be needlessly slow for
-    // a determinism sweep): 2-flop XOR feedback plus an AND output.
-    let mut b = NetlistBuilder::new("dut");
-    let din = b.input_port("din", 1)[0];
-    let q0w = b.net("q0w".into());
-    let q1w = b.net("q1w".into());
-    let fb = b.cell(CellKind::Xor2, &[q1w, din]);
-    b.dff_onto(fb, q0w, false);
-    b.dff_onto(q0w, q1w, false);
-    let out = b.cell(CellKind::And2, &[q0w, q1w]);
-    b.output_port("y", &[out]);
-    let nl = insert_scan_chain(&b.build());
-
-    let lib = CellLibrary::generic_025u();
-    let faults = all_fault_sites(&nl);
-    let patterns = random_patterns(&nl, 16, 0xD00D_2026);
-    let (ref_result, ref_stats) =
-        fault_coverage_instrumented_with_threads(&nl, &lib, &faults, &patterns, 1);
-    assert!(ref_result.detected > 0, "patterns detect something");
-
-    let mut ref_json: Option<String> = None;
-    for sim_threads in THREAD_LADDER {
-        let (result, stats) = fault_coverage_partitioned_with_threads(
-            &nl, &lib, &faults, &patterns, 2, sim_threads,
-        );
-        assert_eq!(stats.engine, "ppsfp-par");
-        assert_eq!(
-            result.detected_mask, ref_result.detected_mask,
-            "{sim_threads} sim threads: detected set matches plain PPSFP"
-        );
-        assert_eq!(
-            stats.drop_curve, ref_stats.drop_curve,
-            "{sim_threads} sim threads: drop curve is engine-independent"
-        );
-        let mut reg = scflow_obs::MetricsRegistry::new();
-        stats.register_into(&mut reg, "fault.ppsfp-par");
-        let json = scflow_obs::render_metrics_json(&reg, None);
-        match &ref_json {
-            None => ref_json = Some(json),
-            Some(r) => assert_eq!(
-                r, &json,
-                "{sim_threads} sim threads: rendered fault metrics"
-            ),
-        }
     }
 }

@@ -22,9 +22,9 @@
 //!
 //! Both harnesses accept any DUT behind the unified
 //! [`Simulation`] trait, so the same Figure 9 rows can be produced with
-//! the interpreted RTL simulator, the compiled levelized engine, or any
-//! of the three gate-level engines (event-driven, levelized fast mode,
-//! compiled bit-parallel) standing in as the "HDL simulator".
+//! the interpreted RTL simulator, the compiled levelized engine, or
+//! either gate-level engine (event-driven or compiled bit-parallel)
+//! standing in as the "HDL simulator".
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -35,18 +35,15 @@
 //! and budget, so where it ran does not matter), and per-fault detection
 //! is independent of thread sharding (patterns are applied to a freshly
 //! reset circuit, exactly as in PPSFP), so the result — effort counters
-//! included — is byte-identical at any `SCFLOW_FAULT_THREADS` /
-//! `SCFLOW_FAULT_PARTITIONED` setting.
+//! included — is byte-identical at any `SCFLOW_FAULT_THREADS` setting.
 
 mod implic;
 
 use crate::celllib::CellLibrary;
 use crate::compile::GateProgram;
-use crate::fault::{
-    apply_pattern_batch_on, fault_partitioned, fault_threads, FaultSite, ScanPattern, ScanSim,
-};
+use crate::bitpar::BitGateSim;
+use crate::fault::{apply_pattern_batch, fault_threads, FaultSite, ScanPattern};
 use crate::netlist::GateNetlist;
-use crate::parsim::ParGateSim;
 use implic::{Frame, FrameInput};
 use scflow_hwtypes::Bv;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -378,7 +375,6 @@ pub fn generate_tests(
     };
     let frame = Frame::new(&prog);
     let threads = fault_threads();
-    let par = fault_partitioned();
     let mut classes = vec![FaultClass::Undetected; faults.len()];
     let mut patterns: Vec<ScanPattern> = Vec::new();
     let mut stats = AtpgStats::default();
@@ -410,7 +406,7 @@ pub fn generate_tests(
                 .filter(|&i| classes[i] == FaultClass::Undetected)
                 .collect();
             let targets: Vec<FaultSite> = alive.iter().map(|&i| faults[i]).collect();
-            let masks = detection_masks(&prog, &targets, &batch, threads, par);
+            let masks = detection_masks(&prog, &targets, &batch, threads);
             let mut yield_ = 0;
             for (&i, &m) in alive.iter().zip(&masks) {
                 if m != 0 {
@@ -453,7 +449,7 @@ pub fn generate_tests(
                 .filter(|&i| matches!(classes[i], FaultClass::Undetected | FaultClass::Aborted))
                 .collect();
             let targets: Vec<FaultSite> = alive.iter().map(|&i| faults[i]).collect();
-            let masks = detection_masks(&prog, &targets, &batch, threads, par);
+            let masks = detection_masks(&prog, &targets, &batch, threads);
             let mut yield_ = 0;
             for (&i, &m) in alive.iter().zip(&masks) {
                 if m != 0 {
@@ -531,7 +527,7 @@ pub fn generate_tests(
     // Stage 3: reverse-order compaction.
     stats.patterns_before_compaction = patterns.len();
     if opts.compact && !patterns.is_empty() {
-        compact(&prog, faults, &mut classes, &mut patterns, threads, par);
+        compact(&prog, faults, &mut classes, &mut patterns, threads);
         stats.curve.push(CurvePoint {
             stage: "compact",
             patterns: patterns.len(),
@@ -717,19 +713,17 @@ fn pattern_from_assigns(
 
 /// Simulates one ≤64-pattern batch against each fault and returns the
 /// lane mask of detecting patterns (same signature-difference criterion
-/// as PPSFP, same engines, sharded the same way — per-fault masks are
+/// as PPSFP, same engine, sharded the same way — per-fault masks are
 /// independent of sharding and thread count).
 fn detection_masks(
     prog: &GateProgram,
     faults: &[FaultSite],
     batch: &[ScanPattern],
     threads: usize,
-    par: Option<usize>,
 ) -> Vec<u64> {
     if faults.is_empty() || batch.is_empty() {
         return vec![0; faults.len()];
     }
-    let nl = prog.netlist();
     let lane_mask = if batch.len() == 64 {
         !0u64
     } else {
@@ -738,16 +732,11 @@ fn detection_masks(
     let golden: Vec<(u64, u64)> = {
         let mut sim = prog.simulator_lanes(64);
         sim.reset();
-        apply_pattern_batch_on(&mut sim, nl, batch)
+        apply_pattern_batch(&mut sim, batch)
     };
-    let run = |shard: &[FaultSite], out: &mut [u64]| match par {
-        Some(st) => ParGateSim::with(prog, st, 64, |sim| {
-            mask_pass(sim, nl, shard, out, batch, &golden, lane_mask)
-        }),
-        None => {
-            let mut sim = prog.simulator_lanes(64);
-            mask_pass(&mut sim, nl, shard, out, batch, &golden, lane_mask);
-        }
+    let run = |shard: &[FaultSite], out: &mut [u64]| {
+        let mut sim = prog.simulator_lanes(64);
+        mask_pass(&mut sim, shard, out, batch, &golden, lane_mask);
     };
     let threads = threads.clamp(1, faults.len());
     let mut masks = vec![0u64; faults.len()];
@@ -765,13 +754,10 @@ fn detection_masks(
     masks
 }
 
-/// One shard of a detection-mask pass, generic over the lane engines
-/// (mirrors `fault::shard_pass`, but records the full lane mask instead
-/// of the first differing batch).
-#[allow(clippy::too_many_arguments)]
-fn mask_pass<S: ScanSim>(
-    sim: &mut S,
-    nl: &GateNetlist,
+/// One shard of a detection-mask pass (mirrors `fault::shard_pass`, but
+/// records the full lane mask instead of the first differing batch).
+fn mask_pass(
+    sim: &mut BitGateSim<'_>,
     shard: &[FaultSite],
     out: &mut [u64],
     batch: &[ScanPattern],
@@ -781,7 +767,7 @@ fn mask_pass<S: ScanSim>(
     for (fault, slot) in shard.iter().zip(out.iter_mut()) {
         sim.reset();
         sim.inject_stuck_at(fault.instance, fault.stuck_at);
-        let sig = apply_pattern_batch_on(sim, nl, batch);
+        let sig = apply_pattern_batch(sim, batch);
         let mut mask = 0u64;
         for (s, g) in sig.iter().zip(golden) {
             mask |= (s.0 ^ g.0) | (s.1 ^ g.1);
@@ -799,7 +785,6 @@ fn compact(
     classes: &mut [FaultClass],
     patterns: &mut Vec<ScanPattern>,
     threads: usize,
-    par: Option<usize>,
 ) {
     let mut alive: Vec<usize> = (0..faults.len())
         .filter(|&i| matches!(classes[i], FaultClass::Detected { .. }))
@@ -816,7 +801,7 @@ fn compact(
         let hi = (lo + 64).min(patterns.len());
         let batch = &patterns[lo..hi];
         let targets: Vec<FaultSite> = alive.iter().map(|&i| faults[i]).collect();
-        let masks = detection_masks(prog, &targets, batch, threads, par);
+        let masks = detection_masks(prog, &targets, batch, threads);
         let mut covered = vec![false; alive.len()];
         for lane in (0..batch.len()).rev() {
             let bit = 1u64 << lane;

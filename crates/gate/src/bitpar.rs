@@ -9,7 +9,7 @@
 //! net, and [`CellKind`] maps `Z` inputs to `X`). Each cell evaluation is
 //! a handful of word-wide boolean operations with full four-valued
 //! X-propagation, giving the same settled values per lane as the
-//! event-driven and fast engines.
+//! event-driven engine.
 //!
 //! Memories are replicated per lane: the lanes are independent pattern
 //! machines whose write streams diverge, so each lane owns a private copy
@@ -63,7 +63,7 @@ fn p_or(av: u64, au: u64, bv: u64, bu: u64) -> (u64, u64) {
 /// (equal known arms dominate an unknown select) and SDFF's stricter one
 /// (an unknown scan enable always samples X).
 #[inline(always)]
-pub(crate) fn eval_gate(
+fn eval_gate(
     kind: CellKind,
     av: u64,
     au: u64,
@@ -548,7 +548,7 @@ impl<'p> BitGateSim<'p> {
 
     /// One clock cycle: settle, validate read addresses, sample every
     /// flop's input and the memory write ports (per lane), commit, settle
-    /// — the same edge semantics as the event-driven and fast engines.
+    /// — the same edge semantics as the event-driven engine.
     pub fn tick(&mut self) {
         self.settle();
         let prog = self.prog;

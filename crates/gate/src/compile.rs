@@ -1,19 +1,28 @@
 //! One-time compilation of a [`GateNetlist`] into a flat levelized program.
 //!
-//! [`GateProgram::compile`] reuses the topological order computed by the
-//! fast engine's levelizer and flattens it into a dense instruction stream:
-//! one instruction per combinational cell (operand net ids resolved up
-//! front, no per-eval pin walks) plus one per memory read path. The
-//! program is immutable and shared: any number of [`BitGateSim`]
-//! instances — including one per fault-simulation worker thread — execute
-//! it concurrently.
+//! [`GateProgram::compile`] levelizes the netlist (a topological order of
+//! its combinational cells and memory read paths) and flattens that order
+//! into a dense instruction stream: one instruction per combinational cell
+//! (operand net ids resolved up front, no per-eval pin walks) plus one per
+//! memory read path. The program is immutable and shared: any number of
+//! [`BitGateSim`] instances — including one per fault-simulation worker
+//! thread — execute it concurrently.
 
 use crate::bitpar::BitGateSim;
 use crate::celllib::CellKind;
 use crate::error::GateError;
-use crate::fastsim::{levelize, Node};
-use crate::netlist::GateNetlist;
+use crate::netlist::{GNetId, GateNetlist};
 use std::sync::Arc;
+
+/// A levelized node: a combinational cell or one memory's read path.
+///
+/// Shared with the pass pipeline ([`crate::passes`]), which walks the
+/// same order.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Node {
+    Inst(u32),
+    MemRead(u32),
+}
 
 /// The shift-mode sub-program, executed instead of the full stream while
 /// the `scan_en` input is known-1 in every lane.
@@ -33,10 +42,6 @@ pub(crate) struct ScanMode {
     pub(crate) en: u32,
     /// Topologically ordered subset of the full instruction stream.
     pub(crate) instrs: Vec<Instr>,
-    /// For each kept instruction, its index in the full stream — lets
-    /// the partitioner carve per-shard scan sub-programs out of the
-    /// same subset.
-    pub(crate) members: Vec<u32>,
 }
 
 /// One flat instruction of the compiled program.
@@ -190,42 +195,72 @@ impl GateProgram {
     pub fn simulator_lanes(&self, lanes: u32) -> BitGateSim<'_> {
         BitGateSim::new(self, lanes)
     }
+}
 
-    /// The distinct nets instruction `i` reads (gate operand nets, or a
-    /// memory's read-address nets). Exposed so partition invariants can
-    /// be checked from outside the crate.
-    pub fn instr_inputs(&self, i: usize) -> Vec<usize> {
-        match self.instrs[i] {
-            Instr::Gate { a, b, c, .. } => {
-                let mut v = vec![a as usize];
-                if b != a {
-                    v.push(b as usize);
-                }
-                if c != a && c != b {
-                    v.push(c as usize);
-                }
-                v
+/// Topologically orders the combinational cells and memory read paths.
+pub(crate) fn levelize(nl: &GateNetlist) -> Result<Vec<Node>, GateError> {
+    let comb: Vec<usize> = nl
+        .instances()
+        .iter()
+        .enumerate()
+        .filter(|(_, i)| !i.kind.is_sequential())
+        .map(|(i, _)| i)
+        .collect();
+    let n_nodes = comb.len() + nl.memories().len();
+    let nodes: Vec<Node> = comb
+        .iter()
+        .map(|&i| Node::Inst(i as u32))
+        .chain((0..nl.memories().len()).map(|m| Node::MemRead(m as u32)))
+        .collect();
+
+    // Which levelized node drives each net (flop Q / const / input nets
+    // have no combinational driver and act as sources).
+    let mut net_driver: Vec<Option<usize>> = vec![None; nl.net_count()];
+    for (node, &i) in comb.iter().enumerate() {
+        net_driver[nl.instances()[i].output.0] = Some(node);
+    }
+    for (m, mem) in nl.memories().iter().enumerate() {
+        for &d in &mem.dout {
+            net_driver[d.0] = Some(comb.len() + m);
+        }
+    }
+
+    let node_inputs = |node: usize| -> Box<dyn Iterator<Item = GNetId> + '_> {
+        match nodes[node] {
+            Node::Inst(i) => Box::new(nl.instances()[i as usize].inputs.iter().copied()),
+            Node::MemRead(m) => Box::new(nl.memories()[m as usize].raddr.iter().copied()),
+        }
+    };
+
+    let mut indeg = vec![0usize; n_nodes];
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
+    for node in 0..n_nodes {
+        for net in node_inputs(node) {
+            if let Some(d) = net_driver[net.0] {
+                adj[d].push(node);
+                indeg[node] += 1;
             }
-            Instr::MemRead(m) => self.nl.memories()[m as usize]
-                .raddr
-                .iter()
-                .map(|n| n.0)
-                .collect(),
         }
     }
 
-    /// The nets instruction `i` writes (a gate's output net, or a
-    /// memory's read-data nets).
-    pub fn instr_outputs(&self, i: usize) -> Vec<usize> {
-        match self.instrs[i] {
-            Instr::Gate { out, .. } => vec![out as usize],
-            Instr::MemRead(m) => self.nl.memories()[m as usize]
-                .dout
-                .iter()
-                .map(|n| n.0)
-                .collect(),
+    let mut queue: std::collections::VecDeque<usize> =
+        (0..n_nodes).filter(|&n| indeg[n] == 0).collect();
+    let mut order = Vec::with_capacity(n_nodes);
+    while let Some(n) = queue.pop_front() {
+        order.push(nodes[n]);
+        for &m in &adj[n] {
+            indeg[m] -= 1;
+            if indeg[m] == 0 {
+                queue.push_back(m);
+            }
         }
     }
+    if order.len() != n_nodes {
+        return Err(GateError::CombLoop {
+            netlist: nl.name().to_string(),
+        });
+    }
+    Ok(order)
 }
 
 /// Computes the scan-shift sub-program: the instructions still able to
@@ -309,18 +344,15 @@ fn scan_mode(nl: &GateNetlist, instrs: &[Instr]) -> Option<ScanMode> {
         }
     }
 
-    let mut sub = Vec::new();
-    let mut members = Vec::new();
-    for (i, (instr, &keep)) in instrs.iter().zip(&needed).enumerate() {
-        if keep {
-            sub.push(*instr);
-            members.push(i as u32);
-        }
-    }
+    let sub = instrs
+        .iter()
+        .zip(&needed)
+        .filter(|(_, &keep)| keep)
+        .map(|(instr, _)| *instr)
+        .collect();
     Some(ScanMode {
         en: en.0 as u32,
         instrs: sub,
-        members,
     })
 }
 

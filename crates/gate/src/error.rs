@@ -7,7 +7,7 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GateError {
     /// The combinational cells form a cycle, so the netlist cannot be
-    /// levelized for zero-delay evaluation.
+    /// levelized for compiled (zero-delay) evaluation.
     CombLoop {
         /// Name of the offending netlist.
         netlist: String,

@@ -18,68 +18,13 @@
 //! and produces the identical detected set (the differential tests pin
 //! this). Netlists the levelizer rejects (combinational loops) fall back
 //! to the serial reference automatically.
-//!
-//! Each fault shard can optionally run the partitioned multi-threaded
-//! engine ([`crate::ParGateSim`]) instead of [`BitGateSim`] — set
-//! `SCFLOW_FAULT_PARTITIONED` (see [`fault_partitioned`]) or call
-//! [`fault_coverage_partitioned_with_threads`]. The detected set,
-//! signatures and drop curve are byte-identical either way.
 
 use crate::celllib::{CellKind, CellLibrary};
 use crate::compile::GateProgram;
 use crate::bitpar::BitGateSim;
 use crate::gsim::GateSim;
-use crate::netlist::{GNetId, GateNetlist};
-use crate::parsim::ParGateSim;
+use crate::netlist::GateNetlist;
 use scflow_hwtypes::{Bv, Logic};
-
-/// The minimal simulator surface the scan-pattern batch driver needs —
-/// implemented by both lane-parallel engines so PPSFP can run its fault
-/// shards on either.
-pub(crate) trait ScanSim {
-    fn lanes(&self) -> u32;
-    fn reset(&mut self);
-    fn tick(&mut self);
-    fn set_input(&mut self, name: &str, value: Bv);
-    fn set_input_word(&mut self, name: &str, word: u64);
-    fn set_input_lane(&mut self, name: &str, lane: u32, value: Bv);
-    fn net_planes(&self, net: GNetId) -> (u64, u64);
-    fn inject_stuck_at(&mut self, instance: usize, stuck_at: bool);
-}
-
-macro_rules! impl_scan_sim {
-    ($ty:ty) => {
-        impl ScanSim for $ty {
-            fn lanes(&self) -> u32 {
-                Self::lanes(self)
-            }
-            fn reset(&mut self) {
-                Self::reset(self)
-            }
-            fn tick(&mut self) {
-                Self::tick(self)
-            }
-            fn set_input(&mut self, name: &str, value: Bv) {
-                Self::set_input(self, name, value)
-            }
-            fn set_input_word(&mut self, name: &str, word: u64) {
-                Self::set_input_word(self, name, word)
-            }
-            fn set_input_lane(&mut self, name: &str, lane: u32, value: Bv) {
-                Self::set_input_lane(self, name, lane, value)
-            }
-            fn net_planes(&self, net: GNetId) -> (u64, u64) {
-                Self::net_planes(self, net)
-            }
-            fn inject_stuck_at(&mut self, instance: usize, stuck_at: bool) {
-                Self::inject_stuck_at(self, instance, stuck_at)
-            }
-        }
-    };
-}
-
-impl_scan_sim!(BitGateSim<'_>);
-impl_scan_sim!(ParGateSim<'_, '_>);
 
 /// A single stuck-at fault on a cell output.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -344,17 +289,6 @@ pub fn apply_pattern_batch(
     patterns: &[ScanPattern],
 ) -> Vec<(u64, u64)> {
     let nl = sim.netlist();
-    apply_pattern_batch_on(sim, nl, patterns)
-}
-
-/// [`apply_pattern_batch`] generalized over the lane-parallel engines
-/// (the partitioned engine borrows its netlist for the closure's
-/// lifetime, so the netlist is threaded in explicitly).
-pub(crate) fn apply_pattern_batch_on<S: ScanSim>(
-    sim: &mut S,
-    nl: &GateNetlist,
-    patterns: &[ScanPattern],
-) -> Vec<(u64, u64)> {
     assert!(
         nl.input_port("scan_en").is_some(),
         "netlist has no scan chain; run insert_scan_chain first"
@@ -447,8 +381,7 @@ impl CoverageResult {
 /// wall times are wall-clock and must stay out of them.
 #[derive(Clone, Debug)]
 pub struct FaultSimStats {
-    /// Engine that produced the result: `"ppsfp"`, `"ppsfp-par"`
-    /// (partitioned engine inside each fault shard) or `"serial"`.
+    /// Engine that produced the result: `"ppsfp"` or `"serial"`.
     pub engine: &'static str,
     /// Worker threads used (1 for the serial reference).
     pub threads: usize,
@@ -568,43 +501,8 @@ pub fn fault_coverage_instrumented_with_threads(
     threads: usize,
 ) -> (CoverageResult, FaultSimStats) {
     match GateProgram::compile(nl) {
-        Ok(prog) => ppsfp(&prog, faults, patterns, threads, fault_partitioned()),
+        Ok(prog) => ppsfp(&prog, faults, patterns, threads),
         // Combinational loops need the event-driven delay semantics.
-        Err(_) => serial_instrumented(nl, lib, faults, patterns),
-    }
-}
-
-/// Simulation-thread count for running the partitioned engine inside each
-/// PPSFP fault shard, from `SCFLOW_FAULT_PARTITIONED`: unset, empty,
-/// `0`/`off`/`false`/`no` disable it (shards use [`BitGateSim`]);
-/// `1`/`on`/`true`/`yes` enable it with [`crate::sim_threads`] workers;
-/// any integer ≥ 2 enables it with that many workers per shard.
-pub fn fault_partitioned() -> Option<usize> {
-    let v = std::env::var("SCFLOW_FAULT_PARTITIONED").ok()?;
-    let v = v.trim();
-    if v.is_empty() || ["0", "off", "false", "no"].iter().any(|t| v.eq_ignore_ascii_case(t)) {
-        return None;
-    }
-    if ["1", "on", "true", "yes"].iter().any(|t| v.eq_ignore_ascii_case(t)) {
-        return Some(crate::parsim::sim_threads());
-    }
-    v.parse::<usize>().ok().filter(|&n| n >= 2)
-}
-
-/// [`fault_coverage_instrumented_with_threads`] with the partitioned
-/// engine forced on inside each fault shard, at `sim_threads` workers per
-/// shard (total live threads ≈ `threads × sim_threads`). Netlists the
-/// levelizer rejects still fall back to the serial reference.
-pub fn fault_coverage_partitioned_with_threads(
-    nl: &GateNetlist,
-    lib: &CellLibrary,
-    faults: &[FaultSite],
-    patterns: &[ScanPattern],
-    threads: usize,
-    sim_threads: usize,
-) -> (CoverageResult, FaultSimStats) {
-    match GateProgram::compile(nl) {
-        Ok(prog) => ppsfp(&prog, faults, patterns, threads, Some(sim_threads.max(1))),
         Err(_) => serial_instrumented(nl, lib, faults, patterns),
     }
 }
@@ -665,12 +563,11 @@ fn serial_instrumented(
     (CoverageResult::from_mask(detected_mask), stats)
 }
 
-/// Runs one fault shard on any lane-parallel engine. Each slot records
-/// the fault's first differing batch (its drop point); `None` means
+/// Runs one fault shard on a 64-lane engine. Each slot records the
+/// fault's first differing batch (its drop point); `None` means
 /// undetected.
-fn shard_pass<S: ScanSim>(
-    sim: &mut S,
-    nl: &GateNetlist,
+fn shard_pass(
+    sim: &mut BitGateSim<'_>,
     shard: &[FaultSite],
     out: &mut [Option<u32>],
     batches: &[&[ScanPattern]],
@@ -680,7 +577,7 @@ fn shard_pass<S: ScanSim>(
         'batches: for (bi, (b, gold)) in batches.iter().zip(golden).enumerate() {
             sim.reset();
             sim.inject_stuck_at(fault.instance, fault.stuck_at);
-            let sig = apply_pattern_batch_on(sim, nl, b);
+            let sig = apply_pattern_batch(sim, b);
             let mask = if b.len() == 64 {
                 !0u64
             } else {
@@ -698,21 +595,17 @@ fn shard_pass<S: ScanSim>(
 
 /// PPSFP over a compiled program: fault-free batch signatures once, then
 /// the fault list sharded across scoped worker threads, 64 patterns per
-/// pass, faults dropped at their first differing batch. `par_sim`
-/// selects the partitioned engine (with that many simulation threads)
-/// instead of [`BitGateSim`] inside each shard.
+/// pass, faults dropped at their first differing batch.
 fn ppsfp(
     prog: &GateProgram,
     faults: &[FaultSite],
     patterns: &[ScanPattern],
     threads: usize,
-    par_sim: Option<usize>,
 ) -> (CoverageResult, FaultSimStats) {
-    let engine = if par_sim.is_some() { "ppsfp-par" } else { "ppsfp" };
     let n_batches = patterns.len().div_ceil(64);
     if faults.is_empty() || patterns.is_empty() {
         let stats = FaultSimStats {
-            engine,
+            engine: "ppsfp",
             threads: 1,
             batches: n_batches,
             shard_faults: Vec::new(),
@@ -736,16 +629,8 @@ fn ppsfp(
     // Returns the shard's wall time.
     let run = |shard: &[FaultSite], out: &mut [Option<u32>]| -> u64 {
         let t0 = std::time::Instant::now();
-        let nl = prog.netlist();
-        match par_sim {
-            Some(st) => ParGateSim::with(prog, st, 64, |sim| {
-                shard_pass(sim, nl, shard, out, &batches, &golden);
-            }),
-            None => {
-                let mut sim = prog.simulator_lanes(64);
-                shard_pass(&mut sim, nl, shard, out, &batches, &golden);
-            }
-        }
+        let mut sim = prog.simulator_lanes(64);
+        shard_pass(&mut sim, shard, out, &batches, &golden);
         t0.elapsed().as_nanos() as u64
     };
 
@@ -779,7 +664,7 @@ fn ppsfp(
     }
     let detected_mask = detected_at.iter().map(Option::is_some).collect();
     let stats = FaultSimStats {
-        engine,
+        engine: "ppsfp",
         threads,
         batches: batches.len(),
         shard_faults,
@@ -908,28 +793,6 @@ mod tests {
         assert_eq!(s4.shard_wall_ns.len(), s4.shard_faults.len());
         let remaining = s1.remaining_curve(r1.total);
         assert_eq!(remaining.last().copied(), Some(r1.total - r1.detected));
-    }
-
-    #[test]
-    fn partitioned_ppsfp_matches_serial_reference() {
-        let nl = small_design();
-        let lib = CellLibrary::generic_025u();
-        let faults = all_fault_sites(&nl);
-        let patterns = random_patterns(&nl, 70, 11);
-        let serial = fault_coverage_serial(&nl, &lib, &faults, &patterns);
-        let (_, ref_stats) =
-            fault_coverage_instrumented_with_threads(&nl, &lib, &faults, &patterns, 1);
-        for sim_threads in [1, 2] {
-            let (par, stats) = fault_coverage_partitioned_with_threads(
-                &nl, &lib, &faults, &patterns, 2, sim_threads,
-            );
-            assert_eq!(stats.engine, "ppsfp-par");
-            assert_eq!(
-                par.detected_mask, serial.detected_mask,
-                "{sim_threads} sim threads"
-            );
-            assert_eq!(stats.drop_curve, ref_stats.drop_curve);
-        }
     }
 
     #[test]

@@ -236,7 +236,7 @@ impl Gen {
     }
 
     /// Balanced XOR reduction (log depth — a serial chain would blow up
-    /// the level count and with it the partitioned engine's phases).
+    /// the level count).
     fn xor_tree(&mut self, mut v: Vec<GNetId>) -> GNetId {
         assert!(!v.is_empty());
         while v.len() > 1 {
@@ -590,7 +590,7 @@ mod tests {
             GenKind::SrcMac,
         ] {
             let nl = generate(&GenParams::new(kind, 5, 6, 11));
-            assert!(crate::fastsim::levelize(&nl).is_ok(), "{kind:?} has a loop");
+            assert!(crate::compile::levelize(&nl).is_ok(), "{kind:?} has a loop");
             assert!(nl.output_port("y").is_some());
         }
     }

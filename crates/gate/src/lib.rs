@@ -17,18 +17,11 @@
 //! * [`GateSim`] — an event-driven four-valued simulator with transport
 //!   delays; its per-event cost is what makes gate-level simulation orders
 //!   of magnitude slower than higher abstraction levels,
-//! * [`FastGateSim`] — a zero-delay levelized "fast mode" with activity
-//!   gating for scan-free functional runs: same settled values and same
-//!   checking-memory violations, no per-event timing,
 //! * [`GateProgram`] / [`BitGateSim`] — the netlist compiled once into a
 //!   flat levelized instruction stream over two-plane `(value, unknown)`
 //!   `u64` words: 64 independent stimulus patterns per instruction with
 //!   full four-valued X-propagation, or single-pattern mode as the fastest
 //!   drop-in cosimulation DUT,
-//! * [`Partition`] / [`ParGateSim`] — the compiled program split into
-//!   balanced shards (level-aware growth, minimized cut) and executed on
-//!   scoped worker threads with per-phase barriers and a boundary-signal
-//!   exchange plan; byte-identical to [`BitGateSim`] at any thread count,
 //! * the **checking memory model**: out-of-range accesses are recorded,
 //!   reproducing how the paper's golden-model bug was finally caught at
 //!   gate level,
@@ -39,7 +32,8 @@
 //! * [`fault`] — stuck-at fault injection and scan-based test coverage
 //!   (what the scan chain's area pays for), measured with parallel-pattern
 //!   single-fault propagation (PPSFP) and fault dropping on the
-//!   bit-parallel engine, over structurally collapsed fault classes,
+//!   bit-parallel engine, over structurally collapsed fault classes, with
+//!   the fault list sharded across worker threads,
 //! * [`atpg`] — staged automatic test-pattern generation (random rounds
 //!   with fault dropping, then a PODEM-style directed search on the
 //!   capture-frame model, then reverse-order compaction) that closes the
@@ -56,13 +50,9 @@ mod compile;
 mod cov;
 mod error;
 pub mod fault;
-mod fastsim;
 pub mod gen;
 mod gsim;
 mod netlist;
-mod parhandle;
-mod parsim;
-mod partition;
 pub mod passes;
 mod scan;
 mod simapi;
@@ -77,14 +67,10 @@ pub use bitpar::BitGateSim;
 pub use celllib::{CellKind, CellLibrary, CellSpec};
 pub use compile::GateProgram;
 pub use error::GateError;
-pub use fastsim::FastGateSim;
 pub use gsim::{GateSim, GateSimStats, MemAccessViolation};
 pub use netlist::{GNetId, GateMemory, GateNetlist, Instance, NetlistBuilder};
-pub use parhandle::OwnedParGateSim;
-pub use parsim::{sim_threads, ParGateSim};
-pub use partition::Partition;
 pub use passes::{optimize, NetlistStats, OptimizedNetlist, PassStats};
-// The unified engine interface both simulators implement.
+// The unified engine interface every simulator implements.
 pub use scflow_sim_api::{EngineStats, SimError, Simulation};
 pub use scan::insert_scan_chain;
 pub use timing::{longest_path, TimingReport};

@@ -46,7 +46,7 @@
 
 use crate::celllib::CellKind;
 use crate::error::GateError;
-use crate::fastsim::{levelize, Node};
+use crate::compile::{levelize, Node};
 use crate::netlist::{GNetId, GateNetlist, Instance};
 use scflow_hwtypes::PassConfig;
 use std::collections::HashMap;

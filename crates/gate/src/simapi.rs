@@ -1,16 +1,15 @@
 //! [`Simulation`] implementations for the gate-level engines.
 //!
-//! All four engines follow the same per-cycle protocol as the RTL
+//! Both engines follow the same per-cycle protocol as the RTL
 //! simulators. Output reads follow the flow's testbench convention:
 //! unknown bits read as zero (use
 //! [`GateSim::output_logic`](crate::GateSim::output_logic) /
-//! [`FastGateSim::output_logic`](crate::FastGateSim::output_logic) /
 //! [`BitGateSim::output_logic`](crate::BitGateSim::output_logic) when the
-//! four-valued view matters). The bit-parallel and partitioned engines
-//! participate as single-pattern (lane 0) simulators; pokes broadcast to
-//! every lane and peeks read lane 0.
+//! four-valued view matters). The bit-parallel engine participates as a
+//! single-pattern (lane 0) simulator; pokes broadcast to every lane and
+//! peeks read lane 0.
 
-use crate::{BitGateSim, FastGateSim, GateSim, ParGateSim};
+use crate::{BitGateSim, GateSim};
 use scflow_hwtypes::Bv;
 use scflow_sim_api::{
     BatchError, BatchReply, EngineStats, MetricsRegistry, SimError, Simulation, Snapshot,
@@ -262,121 +261,5 @@ impl Simulation for BitGateSim<'_> {
             outputs,
             cycles: BitGateSim::stats(self).cycles,
         })
-    }
-}
-
-impl Simulation for ParGateSim<'_, '_> {
-    fn step(&mut self) {
-        self.tick();
-    }
-
-    fn settle(&mut self) {
-        ParGateSim::settle(self);
-    }
-
-    fn cycle(&self) -> u64 {
-        ParGateSim::stats(self).cycles
-    }
-
-    fn try_poke(&mut self, port: &str, value: Bv) -> Result<(), SimError> {
-        self.try_set_input(port, value)
-    }
-
-    fn try_peek(&self, port: &str) -> Result<Bv, SimError> {
-        peek_gate(self.netlist().output_port(port), |n| self.peek_net(n), port)
-    }
-
-    fn has_input(&self, port: &str) -> bool {
-        self.netlist_has_input(port)
-    }
-
-    fn stats(&self) -> EngineStats {
-        let s = ParGateSim::stats(self);
-        EngineStats {
-            cycles: s.cycles,
-            evals: s.gate_evals,
-            skipped: 0,
-            events: s.events,
-        }
-    }
-
-    fn reset(&mut self) -> bool {
-        ParGateSim::reset(self);
-        true
-    }
-
-    fn set_coverage(&mut self, enabled: bool) -> bool {
-        ParGateSim::set_coverage(self, enabled);
-        true
-    }
-
-    fn coverage(&self) -> Option<&ToggleCoverage> {
-        ParGateSim::coverage(self)
-    }
-
-    fn metrics(&self) -> Option<MetricsRegistry> {
-        Some(gate_metrics(
-            Simulation::stats(self),
-            "gate.partitioned",
-            ParGateSim::coverage(self),
-        ))
-    }
-}
-
-impl Simulation for FastGateSim<'_> {
-    fn step(&mut self) {
-        self.tick();
-    }
-
-    fn settle(&mut self) {
-        FastGateSim::settle(self);
-    }
-
-    fn cycle(&self) -> u64 {
-        FastGateSim::stats(self).cycles
-    }
-
-    fn try_poke(&mut self, port: &str, value: Bv) -> Result<(), SimError> {
-        self.try_set_input(port, value)
-    }
-
-    fn try_peek(&self, port: &str) -> Result<Bv, SimError> {
-        peek_gate(self.netlist().output_port(port), |n| self.peek_net(n), port)
-    }
-
-    fn has_input(&self, port: &str) -> bool {
-        self.netlist_has_input(port)
-    }
-
-    fn stats(&self) -> EngineStats {
-        let s = FastGateSim::stats(self);
-        EngineStats {
-            cycles: s.cycles,
-            evals: s.gate_evals,
-            skipped: self.nodes_skipped(),
-            events: s.events,
-        }
-    }
-
-    fn reset(&mut self) -> bool {
-        FastGateSim::reset(self);
-        true
-    }
-
-    fn set_coverage(&mut self, enabled: bool) -> bool {
-        FastGateSim::set_coverage(self, enabled);
-        true
-    }
-
-    fn coverage(&self) -> Option<&ToggleCoverage> {
-        FastGateSim::coverage(self)
-    }
-
-    fn metrics(&self) -> Option<MetricsRegistry> {
-        Some(gate_metrics(
-            Simulation::stats(self),
-            "gate.fast",
-            FastGateSim::coverage(self),
-        ))
     }
 }

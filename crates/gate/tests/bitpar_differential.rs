@@ -10,8 +10,8 @@ use scflow_gate::fault::{
     all_fault_sites, fault_coverage_serial, fault_coverage_with_threads, random_patterns,
 };
 use scflow_gate::{
-    insert_scan_chain, CellKind, CellLibrary, FastGateSim, GNetId, GateNetlist, GateProgram,
-    GateSim, NetlistBuilder,
+    insert_scan_chain, CellKind, CellLibrary, GNetId, GateNetlist, GateProgram, GateSim,
+    NetlistBuilder,
 };
 use scflow_hwtypes::Bv;
 use scflow_testkit::Rng;
@@ -26,8 +26,8 @@ fn full_adder(b: &mut NetlistBuilder, a: GNetId, x: GNetId, cin: GNetId) -> (GNe
     (sum, cout)
 }
 
-/// The acc_mem DUT of the fast-engine differential: an 8-bit accumulator
-/// plus a 5-word checking memory with 3-bit addresses (6/7 out of range).
+/// The acc_mem DUT: an 8-bit accumulator plus a 5-word checking memory
+/// with 3-bit addresses (6/7 out of range).
 fn build_dut() -> GateNetlist {
     let mut b = NetlistBuilder::new("acc_mem");
     let din = b.input_port("din", 8);
@@ -106,15 +106,14 @@ fn single_pattern_matches_event_driven_on_seeded_noise() {
 }
 
 #[test]
-fn lanes_match_per_pattern_fast_engine_runs() {
+fn lanes_match_per_pattern_event_driven_runs() {
     // 64 independent input streams in the lanes of one BitGateSim must
-    // equal 64 separate FastGateSim runs, cycle by cycle.
+    // equal 64 separate event-driven GateSim runs, cycle by cycle.
     let nl = build_dut();
+    let lib = CellLibrary::generic_025u();
     let prog = GateProgram::compile(&nl).expect("acyclic netlist compiles");
     let mut bp = prog.simulator_lanes(64);
-    let mut refs: Vec<FastGateSim<'_>> = (0..64)
-        .map(|_| FastGateSim::new(&nl).expect("acyclic netlist levelizes"))
-        .collect();
+    let mut refs: Vec<GateSim<'_>> = (0..64).map(|_| GateSim::new(&nl, &lib)).collect();
     let mut rng = Rng::new(0xB17_1A9E5);
     for cycle in 0..60 {
         for (lane, r) in refs.iter_mut().enumerate() {

@@ -2,25 +2,16 @@
 //! DCE, relayout) must be invisible to every observer on every engine.
 //! For each generator family — including `SrcMac`, whose checking
 //! memories deliberately overrun — the raw netlist simulated on the
-//! event-driven reference must match the optimized netlist on the
-//! levelized, bit-parallel and partitioned engines: four-valued output
-//! traces, checking-memory violation streams and rendered VCD bytes,
+//! event-driven reference must match the optimized netlist on both the
+//! event-driven and the bit-parallel engine: four-valued output traces,
+//! checking-memory violation streams and rendered VCD bytes,
 //! byte for byte. Divergences are reported by `first_divergence` so a
 //! failure names the first differing sample, not just "mismatch".
 
 use scflow_gate::gen::{generate, GenKind, GenParams};
-use scflow_gate::{
-    optimize, sim_threads, CellLibrary, FastGateSim, GateNetlist, GateProgram, GateSim, ParGateSim,
-};
+use scflow_gate::{optimize, BitGateSim, CellLibrary, GateNetlist, GateProgram, GateSim};
 use scflow_hwtypes::{Bv, LogicVec, PassConfig};
 use scflow_testkit::{first_divergence, Rng};
-
-fn thread_ladder() -> Vec<usize> {
-    let mut v = vec![1, 2, sim_threads()];
-    v.sort_unstable();
-    v.dedup();
-    v
-}
 
 /// Every generator family at a pinned seed. Width 6 keeps the event
 /// reference affordable while still exercising multi-bit carry chains.
@@ -36,7 +27,7 @@ fn families() -> Vec<(GenKind, GenParams)> {
     .collect()
 }
 
-/// The uniform four-valued surface shared by all four engines.
+/// The uniform four-valued surface shared by both engines.
 trait Dut {
     fn set(&mut self, port: &str, value: Bv);
     fn step(&mut self);
@@ -63,11 +54,7 @@ macro_rules! impl_dut {
     };
 }
 impl_dut!(GateSim<'_>);
-impl_dut!(FastGateSim<'_>);
-impl_dut!(BitGateSimAlias<'_>);
-impl_dut!(ParGateSim<'_, '_>);
-
-type BitGateSimAlias<'a> = scflow_gate::BitGateSim<'a>;
+impl_dut!(BitGateSim<'_>);
 
 struct RunArtifacts {
     traces: Vec<(String, Vec<LogicVec>)>,
@@ -138,8 +125,8 @@ fn observed_ports(nl: &GateNetlist) -> Vec<&'static str> {
 }
 
 /// The full cross product: {raw, level-1, level-2} netlists on
-/// {event, fast, bitpar, partitioned}, all against the event-driven
-/// reference on the raw netlist.
+/// {event, bitpar}, all against the event-driven reference on the raw
+/// netlist.
 #[test]
 fn passes_are_invisible_on_every_engine_for_every_family() {
     let lib = CellLibrary::generic_025u();
@@ -170,18 +157,9 @@ fn passes_are_invisible_on_every_engine_for_every_family() {
             let mut ev2 = GateSim::new(&opt.netlist, &lib);
             assert_same(&tag("event"), &reference, &drive(&mut ev2, params.width, &ports));
 
-            let mut fast = FastGateSim::new(&opt.netlist).expect("levelizes");
-            assert_same(&tag("fast"), &reference, &drive(&mut fast, params.width, &ports));
-
             let prog = GateProgram::compile(&opt.netlist).expect("compiles");
             let mut bp = prog.simulator();
             assert_same(&tag("bitpar"), &reference, &drive(&mut bp, params.width, &ports));
-
-            for threads in thread_ladder() {
-                let run =
-                    ParGateSim::with(&prog, threads, 1, |sim| drive(sim, params.width, &ports));
-                assert_same(&tag(&format!("partitioned({threads}t)")), &reference, &run);
-            }
         }
     }
 }
@@ -207,10 +185,11 @@ fn engines_agree_on_coverage_of_the_optimized_netlist() {
         }
     };
 
-    let mut fast = FastGateSim::new(&opt.netlist).expect("levelizes");
-    fast.set_coverage(true);
-    cov_drive(&mut fast);
-    let reference = fast.coverage().expect("coverage enabled").report();
+    let lib = CellLibrary::generic_025u();
+    let mut ev = GateSim::new(&opt.netlist, &lib);
+    ev.set_coverage(true);
+    cov_drive(&mut ev);
+    let reference = ev.coverage().expect("coverage enabled").report();
 
     let prog = GateProgram::compile(&opt.netlist).expect("compiles");
     let mut bp = prog.simulator();
@@ -219,20 +198,8 @@ fn engines_agree_on_coverage_of_the_optimized_netlist() {
     assert_eq!(
         bp.coverage().expect("coverage enabled").report(),
         reference,
-        "bitpar coverage map differs from fast"
+        "bitpar coverage map differs from event-driven"
     );
-
-    for threads in thread_ladder() {
-        let report = ParGateSim::with(&prog, threads, 1, |sim| {
-            sim.set_coverage(true);
-            cov_drive(sim);
-            sim.coverage().expect("coverage enabled").report()
-        });
-        assert_eq!(
-            report, reference,
-            "partitioned({threads}t) coverage map differs from fast"
-        );
-    }
 }
 
 /// The `net_map` a pass run returns is a total account: every net is

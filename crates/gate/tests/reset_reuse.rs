@@ -5,10 +5,7 @@
 //! instance — the invariant the simulation service relies on when it
 //! recycles pooled engines across sessions.
 
-use scflow_gate::{
-    CellKind, CellLibrary, FastGateSim, GateNetlist, GateProgram, GateSim, NetlistBuilder,
-    ParGateSim,
-};
+use scflow_gate::{CellKind, CellLibrary, GateNetlist, GateProgram, GateSim, NetlistBuilder};
 use scflow_hwtypes::Bv;
 
 /// A 4-bit accumulator: acc <= acc + din, built from ripple full adders.
@@ -72,25 +69,9 @@ fn event_driven_reset_clears_coverage() {
 }
 
 #[test]
-fn fast_levelized_reset_clears_coverage() {
-    let nl = build_dut();
-    let mut sim = FastGateSim::new(&nl).unwrap();
-    check_reset_reuse!(&mut sim, tick);
-}
-
-#[test]
 fn bit_parallel_reset_clears_coverage() {
     let nl = build_dut();
     let prog = GateProgram::compile(&nl).unwrap();
     let mut sim = prog.simulator();
     check_reset_reuse!(&mut sim, tick);
-}
-
-#[test]
-fn partitioned_reset_clears_coverage() {
-    let nl = build_dut();
-    let prog = GateProgram::compile(&nl).unwrap();
-    ParGateSim::with(&prog, 2, 1, |sim| {
-        check_reset_reuse!(sim, tick);
-    });
 }

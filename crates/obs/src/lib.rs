@@ -15,9 +15,6 @@
 //! - [`MetricsRegistry`] — a name → value map with stable, sorted
 //!   names and deterministic JSON export in the repo's `BENCH_*.json`
 //!   style.
-//! - [`ShardObs`] — per-worker counters plus a barrier-wait
-//!   [`Histogram`] for partitioned multi-threaded engines; the counter
-//!   subset is deterministic per (design, thread count).
 //! - [`ToggleCoverage`] — per-net / per-cell-output flip tracking
 //!   sampled at cycle boundaries, so every engine that settles to the
 //!   same per-cycle values produces a byte-identical coverage map.
@@ -34,7 +31,7 @@
 //!
 //! Metric names are dot-separated lowercase paths:
 //! `<layer>.<engine>.<quantity>`, e.g. `rtl.compiled.evals`,
-//! `gate.fast.skipped`, `fault.ppsfp.detected`,
+//! `gate.bitpar.skipped`, `fault.ppsfp.detected`,
 //! `coverage.toggle.rtl.covered_bits`. Registered names must be
 //! stable run-to-run for a given design and configuration; verify.sh
 //! fails if two identical runs register different name sets.
@@ -45,12 +42,10 @@
 mod coverage;
 mod metrics;
 mod profile;
-mod shard;
 
 pub use coverage::ToggleCoverage;
 pub use metrics::{Counter, Gauge, Histogram, MetricValue, MetricsRegistry, SharedHistogram};
 pub use profile::{Profiler, Span};
-pub use shard::ShardObs;
 
 /// `true` if the `SCFLOW_METRICS` environment variable asks for metric
 /// collection (`1`, `true`, `on` or `yes`, case-insensitive).

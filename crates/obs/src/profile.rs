@@ -62,7 +62,7 @@ impl Profiler {
     /// and returns its index.
     ///
     /// Intended for durations measured on other threads (e.g. per-shard
-    /// wall times from a partitioned run). Because such spans may
+    /// wall times of a PPSFP run). Because such spans may
     /// overlap in wall time, the parent-covers-children invariant does
     /// *not* extend to them; [`self_ns`](Profiler::self_ns) saturates
     /// to zero rather than underflow.

@@ -33,9 +33,9 @@ use scflow_rtl::CompiledProgram;
 pub enum Artifact {
     /// Compiled levelized RTL bytecode (serves `rtl.compiled`).
     Rtl(CompiledProgram),
-    /// Synthesized, levelized gate program (serves every gate engine:
-    /// `gate.bitpar` executes it directly, `gate.event` and `gate.fast`
-    /// run its owned netlist).
+    /// Synthesized, levelized gate program (serves both gate engines:
+    /// `gate.bitpar` executes it directly, `gate.event` runs its owned
+    /// netlist).
     Gate(GateProgram),
 }
 

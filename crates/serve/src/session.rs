@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 use scflow::prelude::ServeOptions;
-use scflow_gate::{sim_threads, CellLibrary, FastGateSim, GateSim, OwnedParGateSim};
+use scflow_gate::{CellLibrary, GateSim};
 use scflow_hwtypes::{Bv, PassConfig};
 use scflow_obs::MetricsRegistry;
 use scflow_rtl::{Module, RtlSim};
@@ -55,28 +55,22 @@ pub enum EngineKind {
     RtlBitpar,
     /// Event-driven four-valued gate simulator (cached netlist).
     GateEvent,
-    /// Zero-delay levelized gate engine (cached netlist).
-    GateFast,
     /// Compiled bit-parallel gate engine on [`BATCH_LANES`] lanes
     /// (cached program; accepts lanes-mode batches and snapshots).
     GateBitpar,
-    /// Partitioned multi-threaded gate engine behind its owning handle
-    /// ([`OwnedParGateSim`]) on [`sim_threads`] workers (cached
-    /// program; single-pattern, byte-identical to the serial engines).
-    GatePartitioned,
 }
 
 impl EngineKind {
-    /// Parses a protocol engine name.
+    /// Parses a protocol engine name. `gate.fast` and `gate.partitioned`
+    /// name retired engines and are kept as protocol-1 aliases of
+    /// `gate.bitpar`.
     pub fn parse(name: &str) -> Result<Self, &'static str> {
         match name {
             "rtl.interpreted" => Ok(EngineKind::RtlInterp),
             "rtl.compiled" => Ok(EngineKind::RtlCompiled),
             "rtl.bitpar" => Ok(EngineKind::RtlBitpar),
             "gate.event" => Ok(EngineKind::GateEvent),
-            "gate.fast" => Ok(EngineKind::GateFast),
-            "gate.bitpar" => Ok(EngineKind::GateBitpar),
-            "gate.partitioned" => Ok(EngineKind::GatePartitioned),
+            "gate.bitpar" | "gate.fast" | "gate.partitioned" => Ok(EngineKind::GateBitpar),
             _ => Err("unknown engine"),
         }
     }
@@ -88,20 +82,12 @@ impl EngineKind {
             EngineKind::RtlCompiled => "rtl.compiled",
             EngineKind::RtlBitpar => "rtl.bitpar",
             EngineKind::GateEvent => "gate.event",
-            EngineKind::GateFast => "gate.fast",
             EngineKind::GateBitpar => "gate.bitpar",
-            EngineKind::GatePartitioned => "gate.partitioned",
         }
     }
 
     fn needs_gate_artifact(self) -> bool {
-        matches!(
-            self,
-            EngineKind::GateEvent
-                | EngineKind::GateFast
-                | EngineKind::GateBitpar
-                | EngineKind::GatePartitioned
-        )
+        matches!(self, EngineKind::GateEvent | EngineKind::GateBitpar)
     }
 }
 
@@ -477,29 +463,10 @@ fn worker(
             let mut sim = GateSim::new(prog.netlist(), &lib);
             serve_loop(&mut sim, coverage, &rx);
         }
-        EngineKind::GateFast => {
-            let artifact = artifact.expect("gate artifact");
-            let prog = artifact.gate().expect("gate artifact");
-            let mut sim = FastGateSim::new(prog.netlist()).expect("levelizable netlist");
-            serve_loop(&mut sim, coverage, &rx);
-        }
         EngineKind::GateBitpar => {
             let artifact = artifact.expect("gate artifact");
             let prog = artifact.gate().expect("gate artifact");
             let mut sim = prog.simulator_lanes(BATCH_LANES);
-            serve_loop(&mut sim, coverage, &rx);
-        }
-        EngineKind::GatePartitioned => {
-            // The owning handle moves the shared artefact onto its host
-            // thread, which pins the cache entry just like the stack of
-            // the other workers does.
-            let artifact = artifact.expect("gate artifact");
-            let mut sim = OwnedParGateSim::spawn(
-                artifact,
-                |a| a.gate().expect("gate artifact"),
-                sim_threads(),
-                1,
-            );
             serve_loop(&mut sim, coverage, &rx);
         }
     }

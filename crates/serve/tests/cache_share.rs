@@ -66,7 +66,7 @@ fn open_storm_compiles_exactly_once() {
     });
     let replies: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..8)
-            .map(|_| scope.spawn(|| open_reply(&server, "rtl_opt", "gate.fast")))
+            .map(|_| scope.spawn(|| open_reply(&server, "rtl_opt", "gate.bitpar")))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -122,13 +122,13 @@ fn lru_eviction_respects_pinned_sessions() {
         cache_cap: 1,
     });
     // Pin rtl_opt with a live session.
-    let pinned = open_reply(&server, "rtl_opt", "gate.fast");
+    let pinned = open_reply(&server, "rtl_opt", "gate.event");
     assert_eq!(cache_field(&pinned), "miss");
 
     // Cycle two more designs through the single-entry cache, closing
     // each session so its artefact becomes evictable.
     for design in ["rtl_unopt", "vhdl_ref"] {
-        let r = open_reply(&server, design, "gate.fast");
+        let r = open_reply(&server, design, "gate.event");
         assert_eq!(cache_field(&r), "miss", "{design}");
         let sid = session_of(&r);
         let r = server.handle_line(&format!(r#"{{"id":1,"op":"close","session":"{sid}"}}"#));
@@ -138,11 +138,11 @@ fn lru_eviction_respects_pinned_sessions() {
 
     // The pinned design is still served from cache (its session's Arc
     // protected it from eviction)…
-    let again = open_reply(&server, "rtl_opt", "gate.fast");
+    let again = open_reply(&server, "rtl_opt", "gate.event");
     assert_eq!(cache_field(&again), "hit");
     // …while an evicted design recompiles.
     let compiles_before = server.cache().stats().compiles;
-    let r = open_reply(&server, "rtl_unopt", "gate.fast");
+    let r = open_reply(&server, "rtl_unopt", "gate.event");
     assert_eq!(cache_field(&r), "miss");
     assert_eq!(server.cache().stats().compiles, compiles_before + 1);
 }
@@ -153,7 +153,7 @@ fn rtl_and_gate_artifacts_do_not_collide() {
     // keys must produce two cache entries, not one.
     let server = Server::new(&ServeOptions::default());
     let a = open_reply(&server, "rtl_opt", "rtl.compiled");
-    let b = open_reply(&server, "rtl_opt", "gate.fast");
+    let b = open_reply(&server, "rtl_opt", "gate.bitpar");
     assert_eq!(cache_field(&a), "miss");
     assert_eq!(cache_field(&b), "miss");
     assert_eq!(server.cache().stats().compiles, 2);
@@ -242,10 +242,10 @@ fn pass_levels_do_not_share_artifacts_or_snapshots() {
 
 #[test]
 fn one_gate_artifact_serves_all_gate_engines() {
-    // gate.event, gate.fast and gate.bitpar all run the same compiled
-    // gate program: three opens, one compile.
+    // gate.event and gate.bitpar both run the same compiled gate
+    // program: two opens, one compile.
     let server = Server::new(&ServeOptions::default());
-    for (i, engine) in ["gate.event", "gate.fast", "gate.bitpar"].iter().enumerate() {
+    for (i, engine) in ["gate.event", "gate.bitpar"].iter().enumerate() {
         let r = open_reply(&server, "rtl_opt", engine);
         let expect = if i == 0 { "miss" } else { "hit" };
         assert_eq!(cache_field(&r), expect, "{engine}: {r}");

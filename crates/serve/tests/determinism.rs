@@ -7,14 +7,12 @@
 use scflow::prelude::ServeOptions;
 use scflow_serve::Server;
 
-const ENGINES: [&str; 7] = [
+const ENGINES: [&str; 5] = [
     "rtl.interpreted",
     "rtl.compiled",
     "rtl.bitpar",
     "gate.event",
-    "gate.fast",
     "gate.bitpar",
-    "gate.partitioned",
 ];
 
 fn open(server: &Server, design: &str, engine: &str) -> String {
@@ -22,6 +20,10 @@ fn open(server: &Server, design: &str, engine: &str) -> String {
         r#"{{"id":0,"op":"open_session","design":"{design}","engine":"{engine}","coverage":true}}"#
     ));
     assert!(reply.contains(r#""ok":true"#), "open failed: {reply}");
+    assert!(
+        reply.contains(&format!(r#""engine":"{engine}""#)),
+        "open reply must echo the requested engine: {reply}"
+    );
     let tag = r#""session":""#;
     let start = reply.find(tag).unwrap() + tag.len();
     let end = reply[start..].find('"').unwrap() + start;
@@ -151,16 +153,29 @@ fn rtl_and_gate_sessions_agree_on_outputs() {
 }
 
 #[test]
-fn partitioned_session_matches_the_serial_gate_engines() {
-    // The owning-handle partitioned session must be byte-identical to
-    // the single-threaded bit-parallel session on outputs AND the
-    // coverage map — only the metrics prefix may differ.
+fn retired_gate_engine_names_alias_gate_bitpar() {
+    // `gate.fast` and `gate.partitioned` name retired engines; protocol 1
+    // keeps both as aliases of `gate.bitpar`. The open reply echoes the
+    // requested name, and everything after it — outputs, coverage,
+    // metrics and a working snapshot — is byte-identical to a
+    // `gate.bitpar` session's transcript.
     let server = Server::new(&ServeOptions::default());
-    let bitpar = open(&server, "rtl_opt", "gate.bitpar");
-    let par = open(&server, "rtl_opt", "gate.partitioned");
-    let bitpar_log = workload(&server, &bitpar);
-    let par_log = workload(&server, &par);
-    assert_eq!(bitpar_log[0], par_log[0], "batch outputs diverged");
-    assert_eq!(bitpar_log[1], par_log[1], "peek diverged");
-    assert_eq!(bitpar_log[2], par_log[2], "coverage map diverged");
+    let transcript = |engine: &str| {
+        let sid = open(&server, "rtl_opt", engine);
+        let mut log = workload(&server, &sid);
+        log.push(server.handle_line(&format!(
+            r#"{{"id":1,"op":"snapshot","session":"{sid}"}}"#
+        )));
+        log
+    };
+    let reference = transcript("gate.bitpar");
+    let snapshot = reference.last().expect("snapshot reply");
+    assert!(snapshot.contains(r#""snapshot":""#), "{snapshot}");
+    for alias in ["gate.fast", "gate.partitioned"] {
+        assert_eq!(
+            transcript(alias),
+            reference,
+            "{alias}: transcript differs from gate.bitpar"
+        );
+    }
 }

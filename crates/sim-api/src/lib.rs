@@ -2,8 +2,8 @@
 //!
 //! Every cycle-driven engine in the workspace — the interpreted RTL
 //! simulator, the compiled levelized RTL engine, the event-driven gate
-//! simulator, the zero-delay levelized gate engine, the compiled
-//! bit-parallel gate engine (in single-pattern mode) and the
+//! simulator, the compiled bit-parallel gate engine (in single-pattern
+//! mode) and the
 //! kernel-backed two-process model — implements one trait,
 //! [`Simulation`], so testbench
 //! harnesses, co-simulation bridges and benchmarks can drive any DUT

@@ -31,7 +31,7 @@ echo "== engine check: compiled levelized vs interpreted RTL =="
 cargo run --release --offline -p scflow-bench --bin tables -- --check-engines
 
 echo "== gate engine check: bit-parallel vs event-driven =="
-# Races the three gate-level engines on the synthesized RTL SRC and
+# Races the two gate-level engines on the synthesized RTL SRC and
 # cross-checks PPSFP fault coverage against the serial per-fault
 # reference; exits non-zero if the bit-parallel engine is slower than
 # the event-driven one or detects a different fault set.
@@ -41,27 +41,9 @@ echo "== flow profile smoke run =="
 # Profiles all three flow phases; exits non-zero on any phase failure.
 cargo run --release --offline -p scflow-bench --bin tables -- --profile
 
-echo "== partition property tests (pinned seed) =="
-# The partitioner's invariants (full coverage, <=20% imbalance, complete
-# boundary-exchange plan, levelized order) on a reproducible random-case
-# stream: the pinned seed makes a CI failure replayable verbatim.
-SCFLOW_PROPTEST_SEED=0x5CF10F60 SCFLOW_PROPTEST_CASES=64 \
-    cargo test --release -q --offline -p scflow-gate --test partition_properties
-
-echo "== multi-thread determinism: differential suite at 1 and 4 threads =="
-# The partitioned engine must be byte-identical to the serial engines
-# (outputs, violations, coverage maps, VCD bytes) regardless of
-# SCFLOW_SIM_THREADS — including oversubscribed counts on small hosts.
-for t in 1 4; do
-    SCFLOW_SIM_THREADS="$t" \
-        cargo test --release -q --offline -p scflow-gate --test par_differential
-    SCFLOW_SIM_THREADS="$t" \
-        cargo test --release -q --offline -p scflow --test engine_differential
-done
-
 echo "== coverage determinism =="
 # Two --coverage runs must emit byte-identical METRICS.json (per-net
-# toggle maps identical across all six engines, metric names stable,
+# toggle maps identical across all four engines, metric names stable,
 # no wall-clock in the deterministic section).
 covdir="$(mktemp -d)"
 trap 'rm -rf "$covdir"' EXIT
@@ -72,18 +54,6 @@ SCFLOW_BENCH_DIR="$covdir/b" \
     cargo run --release --offline -p scflow-bench --bin tables -- --coverage >/dev/null
 cmp "$covdir/a/METRICS.json" "$covdir/b/METRICS.json"
 echo "ok: METRICS.json byte-identical across runs"
-
-echo "== coverage determinism across thread counts =="
-# The same artifact must also be byte-identical when the partitioned
-# engine runs on different worker-thread counts: thread scheduling must
-# never leak into any deterministic metric.
-mkdir -p "$covdir/t1" "$covdir/t4"
-SCFLOW_BENCH_DIR="$covdir/t1" SCFLOW_SIM_THREADS=1 \
-    cargo run --release --offline -p scflow-bench --bin tables -- --coverage >/dev/null
-SCFLOW_BENCH_DIR="$covdir/t4" SCFLOW_SIM_THREADS=4 \
-    cargo run --release --offline -p scflow-bench --bin tables -- --coverage >/dev/null
-cmp "$covdir/t1/METRICS.json" "$covdir/t4/METRICS.json"
-echo "ok: METRICS.json byte-identical at 1 and 4 simulation threads"
 
 echo "== serve protocol smoke (golden bytes over stdio) =="
 # The JSON-lines service replies must be byte-identical to the pinned
@@ -136,7 +106,7 @@ echo "== pass-pipeline differential (pinned seeds, byte compare) =="
 # dedicated suites lockstep raw-vs-optimized netlists/modules across
 # all engines (outputs, violation streams, VCD bytes, via
 # first_divergence); --check-opt then replays the golden-model
-# testbench on all five engines at opt0 and opt2 and fails on any
+# testbench on all three compiled engines at opt0 and opt2 and fails on any
 # output mismatch or gross (>2x) slowdown. On top of that, an opt0 and
 # an opt2 run of the optimized netlist-stats table must byte-match:
 # the report reflects the netlist it is given, never ambient state.
@@ -151,8 +121,8 @@ cmp "$covdir/stats_opt0.txt" "$covdir/stats_opt2.txt"
 echo "ok: passes byte-invisible; netlist-stats report deterministic"
 
 echo "== pass-scaling bench (BENCH_opt.json) =="
-# Generated circuits at 10^3..10^5 gates, gate engines with passes off
-# vs on; the bench itself enforces the throughput floor (default
+# Generated circuits at 10^3..10^5 gates, the compiled gate engine with
+# passes off vs on; the bench itself enforces the throughput floor (default
 # SCFLOW_OPT_MIN=1.15x for level-2 gate.bitpar at the largest size).
 SCFLOW_BENCH_DIR="$covdir" \
     cargo bench --offline -q -p scflow-bench --bench opt_scaling
