@@ -1,14 +1,17 @@
 //! Service throughput bench: protocol requests per second through
-//! `Server::handle_line` at 1, 4 and 16 concurrent sessions, plus the
-//! session-open latency split into cold-compile vs cache-hit. Emits
-//! `BENCH_serve.json`.
+//! `Server::handle_line` at 1, 4 and 16 concurrent sessions, the
+//! session-open latency split into cold-compile vs cache-hit, and the
+//! latency of one `snapshot` and one `restore` on a warmed 64-lane
+//! session of each bit-parallel engine. Emits `BENCH_serve.json`.
 //!
 //! Each concurrent session runs on its own driver thread against one
 //! shared server, mixing pokes, steps, peeks and an 8-item `step_batch`
 //! — the shape a stimulus sweep actually produces. The cache rows
 //! isolate what the content-addressed compile cache buys on
 //! `open_session`: the cold row pays synthesis + levelization, the hit
-//! row only the lookup and worker spawn.
+//! row only the lookup and worker spawn. The snapshot rows time the
+//! whole request: the engine's capture or restore plus moving the blob
+//! as hex through one JSON line each way.
 
 use scflow::prelude::ServeOptions;
 use scflow_serve::Server;
@@ -35,6 +38,25 @@ fn open(server: &Server, engine: &str) -> String {
 
 fn close(server: &Server, sid: &str) {
     let r = server.handle_line(&format!(r#"{{"id":0,"op":"close","session":"{sid}"}}"#));
+    assert!(r.contains(r#""ok":true"#), "{r}");
+}
+
+/// Holds the handshake inputs and runs `cycles` cycles, so a snapshot
+/// carries a warmed state.
+fn warm_up(server: &Server, sid: &str, cycles: u64) {
+    for (port, v, w) in [
+        ("out_sample_ready", 1, 1),
+        ("in_sample_valid", 1, 1),
+        ("in_sample", 0x1234, 16),
+    ] {
+        let r = server.handle_line(&format!(
+            r#"{{"id":1,"op":"poke","session":"{sid}","port":"{port}","value":"0x{v:x}","width":{w}}}"#
+        ));
+        assert!(r.contains(r#""ok":true"#), "{r}");
+    }
+    let r = server.handle_line(&format!(
+        r#"{{"id":1,"op":"step","session":"{sid}","cycles":{cycles}}}"#
+    ));
     assert!(r.contains(r#""ok":true"#), "{r}");
 }
 
@@ -99,6 +121,29 @@ fn main() {
     let cold_ns = h.results[0].median_ns;
     let hit_ns = h.results[1].median_ns;
     h.metric("cold_over_hit", cold_ns / hit_ns.max(1e-12));
+
+    // --- snapshot / restore on a warmed 64-lane session --------------
+    let snap_server = Server::new(&opts(4));
+    for engine in ["rtl.bitpar", "gate.bitpar"] {
+        let sid = open(&snap_server, engine);
+        warm_up(&snap_server, &sid, 256);
+        let snapshot = format!(r#"{{"id":1,"op":"snapshot","session":"{sid}"}}"#);
+        let reply = snap_server.handle_line(&snapshot);
+        let tag = r#""snapshot":""#;
+        let start = reply.find(tag).expect("snapshot reply") + tag.len();
+        let hex = &reply[start..start + reply[start..].find('"').expect("closing quote")];
+        let restore = format!(r#"{{"id":1,"op":"restore","session":"{sid}","snapshot":"{hex}"}}"#);
+        let row = engine.replace('.', "_");
+        for (name, line) in [("snapshot", &snapshot), ("restore", &restore)] {
+            h.bench(&format!("{name}_{row}"), || {
+                let r = snap_server.handle_line(line);
+                assert!(r.starts_with(r#"{"id":1,"ok":true"#), "{name} failed");
+                r
+            });
+            h.metric("blob_bytes", (hex.len() / 2) as f64);
+        }
+        close(&snap_server, &sid);
+    }
 
     // --- request throughput at 1 / 4 / 16 concurrent sessions -------
     const SWEEPS: u64 = 40;

@@ -12,7 +12,7 @@ use crate::bitpar::BitGateSim;
 use crate::celllib::CellKind;
 use crate::error::GateError;
 use crate::netlist::{GNetId, GateNetlist};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A levelized node: a combinational cell or one memory's read path.
 ///
@@ -101,6 +101,10 @@ pub struct GateProgram {
     /// Reduced instruction stream for scan-shift cycles, when the netlist
     /// has a scan chain.
     pub(crate) scan: Option<ScanMode>,
+    /// [`GateNetlist::stable_hash`] of `nl`, computed on first use: every
+    /// session open, snapshot and restore asks for it, but most compiles
+    /// (fault simulation, ATPG) never do.
+    hash: OnceLock<u64>,
 }
 
 impl GateProgram {
@@ -155,6 +159,7 @@ impl GateProgram {
             instrs,
             flops,
             scan,
+            hash: OnceLock::new(),
         })
     }
 
@@ -170,9 +175,10 @@ impl GateProgram {
 
     /// The stable content hash of the source netlist — the
     /// content-address under which a compiled-program cache may share
-    /// this program (see [`GateNetlist::stable_hash`]).
+    /// this program (see [`GateNetlist::stable_hash`]). The netlist is
+    /// hashed once, on the first call.
     pub fn content_hash(&self) -> u64 {
-        self.nl.stable_hash()
+        *self.hash.get_or_init(|| self.nl.stable_hash())
     }
 
     /// Number of flat instructions (cells + memory read paths).
@@ -225,20 +231,37 @@ pub(crate) fn levelize(nl: &GateNetlist) -> Result<Vec<Node>, GateError> {
         }
     }
 
-    let node_inputs = |node: usize| -> Box<dyn Iterator<Item = GNetId> + '_> {
+    let node_inputs = |node: usize| -> &[GNetId] {
         match nodes[node] {
-            Node::Inst(i) => Box::new(nl.instances()[i as usize].inputs.iter().copied()),
-            Node::MemRead(m) => Box::new(nl.memories()[m as usize].raddr.iter().copied()),
+            Node::Inst(i) => &nl.instances()[i as usize].inputs,
+            Node::MemRead(m) => &nl.memories()[m as usize].raddr,
         }
     };
 
-    let mut indeg = vec![0usize; n_nodes];
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n_nodes];
+    // Fan-out in compressed form: the consumers of node `d` are
+    // `fanout[start[d]..start[d + 1]]`, consumer ascending and pins in
+    // order — one offsets and one edge array instead of a heap vector
+    // per node.
+    let mut indeg = vec![0u32; n_nodes];
+    let mut start = vec![0u32; n_nodes + 1];
+    for (node, deg) in indeg.iter_mut().enumerate() {
+        for net in node_inputs(node) {
+            if let Some(d) = net_driver[net.0] {
+                start[d + 1] += 1;
+                *deg += 1;
+            }
+        }
+    }
+    for d in 0..n_nodes {
+        start[d + 1] += start[d];
+    }
+    let mut next = start.clone();
+    let mut fanout = vec![0u32; start[n_nodes] as usize];
     for node in 0..n_nodes {
         for net in node_inputs(node) {
             if let Some(d) = net_driver[net.0] {
-                adj[d].push(node);
-                indeg[node] += 1;
+                fanout[next[d] as usize] = node as u32;
+                next[d] += 1;
             }
         }
     }
@@ -248,7 +271,8 @@ pub(crate) fn levelize(nl: &GateNetlist) -> Result<Vec<Node>, GateError> {
     let mut order = Vec::with_capacity(n_nodes);
     while let Some(n) = queue.pop_front() {
         order.push(nodes[n]);
-        for &m in &adj[n] {
+        for &m in &fanout[start[n] as usize..start[n + 1] as usize] {
+            let m = m as usize;
             indeg[m] -= 1;
             if indeg[m] == 0 {
                 queue.push_back(m);

@@ -118,21 +118,30 @@ impl Json {
     }
 }
 
+/// Renders `s` as a JSON string literal. Runs of bytes that need no
+/// escape are copied whole; `"`, `\` and control bytes are escaped.
 fn render_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Escaped bytes are ASCII, so `run..i` lies on char boundaries.
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -146,15 +155,23 @@ pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
     )
 }
 
+/// Deepest nesting of arrays and objects that [`parse`] accepts. The
+/// protocol's deepest request, a `step_batch` poke object, sits at depth
+/// 5; the cap keeps a hostile line from recursing the parser off its
+/// thread's stack, which would abort the whole server.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document; trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
-/// A short human-readable message pointing at what failed.
+/// A short human-readable message pointing at what failed, including
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -168,6 +185,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -204,8 +223,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.eat_word("true", Json::Bool(true)),
             Some(b'f') => self.eat_word("false", Json::Bool(false)),
@@ -213,6 +232,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at offset {}", self.pos)),
         }
+    }
+
+    /// Parses a container one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -303,14 +336,17 @@ impl Parser<'_> {
                         b'b' => s.push('\u{8}'),
                         b'f' => s.push('\u{c}'),
                         b'u' => {
-                            let hex = self
+                            let digits = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
                                 .ok_or_else(|| "short \\u escape".to_owned())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "bad \\u escape".to_owned())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_owned())?;
+                            // Four hex digits, no sign.
+                            let code = digits.iter().try_fold(0u32, |code, &d| {
+                                char::from(d)
+                                    .to_digit(16)
+                                    .map(|v| (code << 4) | v)
+                                    .ok_or_else(|| "bad \\u escape".to_owned())
+                            })?;
                             self.pos += 4;
                             // Surrogates are rejected rather than paired:
                             // the protocol never emits them.
@@ -386,5 +422,79 @@ mod tests {
     fn raw_splices_verbatim() {
         let v = obj([("metrics", Json::Raw("{\"x\": 3}".into()))]);
         assert_eq!(v.render(), r#"{"metrics":{"x": 3}}"#);
+    }
+
+    /// The char-by-char renderer `render_str` replaced: the reference
+    /// its output must match byte for byte.
+    fn render_str_by_char(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn render_str_matches_the_char_by_char_renderer() {
+        use scflow_testkit::prop::{check, ints, vecs};
+        use scflow_testkit::prop_assert_eq;
+        // Every control byte, both escaped printables, DEL, plain ASCII
+        // and 2-, 3- and 4-byte UTF-8 characters.
+        let pool: Vec<char> = (0u8..0x20)
+            .map(char::from)
+            .chain(['"', '\\', '\u{7f}', ' ', 'a', 'Z', '0', '/', 'é', '€', '😀'])
+            .collect();
+        let strings = vecs(ints(0..=pool.len() - 1), 0..=48);
+        check(
+            "render_str matches the char-by-char renderer",
+            &strings,
+            |picks| {
+                let s: String = picks.iter().map(|&i| pool[i]).collect();
+                let (mut fast, mut reference) = (String::new(), String::new());
+                render_str(&s, &mut fast);
+                render_str_by_char(&s, &mut reference);
+                prop_assert_eq!(fast, reference);
+                prop_assert_eq!(parse(&fast), Ok(Json::Str(s)));
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nest(MAX_DEPTH + 1)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {MAX_DEPTH}"
+            ))
+        );
+        // Objects count the same as arrays, and depth is per path: wide
+        // documents at the cap are fine.
+        let deep_obj = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&deep_obj).is_ok());
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
+        assert!(parse(&format!("[{deep_obj}]")).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_four_hex_digits_only() {
+        assert_eq!(parse(r#""\u0041\u00e9""#), Ok(Json::Str("Aé".into())));
+        assert_eq!(parse(r#""\u00C9""#), Ok(Json::Str("É".into())));
+        assert_eq!(parse(r#""\u+041""#), Err("bad \\u escape".to_owned()));
+        assert_eq!(parse(r#""\u004g""#), Err("bad \\u escape".to_owned()));
+        assert_eq!(parse(r#""\u00""#), Err("short \\u escape".to_owned()));
     }
 }

@@ -560,29 +560,51 @@ fn num_u64(v: u64) -> Json {
     i64::try_from(v).map_or_else(|_| Json::Str(format!("0x{v:x}")), Json::Num)
 }
 
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Marks a byte that is not a hex digit in [`NIBBLE`].
+const NOT_HEX: u8 = 0x10;
+
+/// The value of each hex digit byte (either case), [`NOT_HEX`] for
+/// every other byte — a sign included.
+const NIBBLE: [u8; 256] = {
+    let mut t = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        t[HEX_DIGITS[i] as usize] = i as u8;
+        t[HEX_DIGITS[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    t
+};
+
 /// Renders a snapshot blob as lowercase hex (JSON strings cannot carry
 /// raw bytes; hex keeps the transcript line-oriented and diffable).
 fn blob_to_hex(blob: &[u8]) -> String {
-    let mut s = String::with_capacity(blob.len() * 2);
-    for b in blob {
-        s.push_str(&format!("{b:02x}"));
+    let mut hex = Vec::with_capacity(blob.len() * 2);
+    for &b in blob {
+        hex.push(HEX_DIGITS[usize::from(b >> 4)]);
+        hex.push(HEX_DIGITS[usize::from(b & 0xf)]);
     }
-    s
+    String::from_utf8(hex).expect("hex digits are ASCII")
 }
 
-/// Parses a hex snapshot blob from a `restore` request.
+/// Parses a hex snapshot blob from a `restore` request. Only the digits
+/// `0-9a-fA-F` are accepted, two per byte.
 fn blob_from_hex(hex: &str) -> Result<Vec<u8>, String> {
     if hex.len() % 2 != 0 {
         return Err("`snapshot` hex must have even length".to_owned());
     }
-    let bytes = hex.as_bytes();
     let mut out = Vec::with_capacity(hex.len() / 2);
-    for pair in bytes.chunks_exact(2) {
-        let s = std::str::from_utf8(pair).map_err(|_| "non-ASCII in `snapshot`".to_owned())?;
-        out.push(
-            u8::from_str_radix(s, 16)
-                .map_err(|_| format!("bad hex `{s}` in `snapshot`"))?,
-        );
+    for pair in hex.as_bytes().chunks_exact(2) {
+        let (hi, lo) = (NIBBLE[usize::from(pair[0])], NIBBLE[usize::from(pair[1])]);
+        if (hi | lo) & NOT_HEX != 0 {
+            return Err(match std::str::from_utf8(pair) {
+                Ok(s) => format!("bad hex `{s}` in `snapshot`"),
+                Err(_) => "non-ASCII in `snapshot`".to_owned(),
+            });
+        }
+        out.push((hi << 4) | lo);
     }
     Ok(out)
 }
@@ -609,6 +631,10 @@ fn parse_value(value: Option<&Json>, width: Option<&Json>) -> Result<Bv, String>
                 .strip_prefix("0x")
                 .or_else(|| s.strip_prefix("0X"))
                 .ok_or_else(|| format!("string value `{s}` must start with 0x"))?;
+            // `from_str_radix` takes a leading `+`; a port value is digits only.
+            if hex.starts_with('+') {
+                return Err(format!("bad hex value `{s}`: a sign is not a hex digit"));
+            }
             u64::from_str_radix(hex, 16).map_err(|e| format!("bad hex value `{s}`: {e}"))?
         }
         Some(Json::Num(n)) if *n >= 0 => *n as u64,
@@ -649,4 +675,53 @@ fn registry_to_json(reg: &MetricsRegistry) -> Json {
         fields.push((name.to_owned(), v));
     }
     Json::Obj(fields)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scflow_testkit::prop::{check, ints, vecs};
+    use scflow_testkit::prop_assert_eq;
+
+    #[test]
+    fn hex_blobs_round_trip() {
+        assert_eq!(blob_to_hex(&[]), "");
+        assert_eq!(blob_from_hex(""), Ok(Vec::new()));
+        assert_eq!(blob_to_hex(&[0x00, 0x0f, 0xa5, 0xff]), "000fa5ff");
+        assert_eq!(blob_from_hex("000FA5fF"), Ok(vec![0x00, 0x0f, 0xa5, 0xff]));
+        check(
+            "hex blobs round-trip",
+            &vecs(ints(0u8..=255), 0..=300),
+            |blob| {
+                let hex = blob_to_hex(blob);
+                prop_assert_eq!(hex.len(), 2 * blob.len());
+                prop_assert_eq!(blob_from_hex(&hex), Ok(blob.clone()));
+                prop_assert_eq!(blob_from_hex(&hex.to_ascii_uppercase()), Ok(blob.clone()));
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn hex_blob_rejections_keep_their_messages() {
+        let bad = |pair: &str| Err(format!("bad hex `{pair}` in `snapshot`"));
+        assert_eq!(
+            blob_from_hex("abc"),
+            Err("`snapshot` hex must have even length".to_owned())
+        );
+        for b in (0u8..0x80).filter(|b| !b.is_ascii_hexdigit()) {
+            let c = char::from(b);
+            assert_eq!(blob_from_hex(&format!("00{c}0")), bad(&format!("{c}0")));
+            assert_eq!(blob_from_hex(&format!("0{c}00")), bad(&format!("0{c}")));
+        }
+        // A sign is not a digit, even where `from_str_radix` would take it.
+        assert_eq!(blob_from_hex("+f"), bad("+f"));
+        assert_eq!(blob_from_hex("00+0"), bad("+0"));
+        // A two-byte character that fills a pair is one bad pair; a
+        // character split across pairs leaves a pair that is not UTF-8.
+        assert_eq!(blob_from_hex("é00"), bad("é"));
+        let split = Err("non-ASCII in `snapshot`".to_owned());
+        assert_eq!(blob_from_hex("0é0"), split);
+        assert_eq!(blob_from_hex("€0"), split);
+    }
 }

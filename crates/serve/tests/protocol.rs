@@ -168,6 +168,72 @@ fn hex_values_round_trip_and_floats_are_refused() {
     assert_eq!(error_code(&r), Some("bad_json"));
 }
 
+// Rust's `from_str_radix` takes a leading `+`; the protocol's hex fields
+// are digits only, so a signed value is refused, not read as unsigned.
+
+#[test]
+fn poke_value_refuses_a_sign() {
+    let s = server();
+    let sid = open(&s, "rtl_opt", "rtl.compiled", false);
+    let r = s.handle_line(&format!(
+        r#"{{"id":1,"op":"poke","session":"{sid}","port":"in_sample","value":"0x+2a","width":16}}"#
+    ));
+    assert_eq!(
+        r,
+        r#"{"id":1,"ok":false,"error":{"code":"bad_value","msg":"bad hex value `0x+2a`: a sign is not a hex digit"}}"#
+    );
+}
+
+#[test]
+fn restore_blob_refuses_a_sign() {
+    let s = server();
+    let sid = open(&s, "rtl_opt", "rtl.compiled", false);
+    // The session's own blob with one leading `0` digit turned into `+`.
+    let snap = s.handle_line(&format!(r#"{{"id":1,"op":"snapshot","session":"{sid}"}}"#));
+    let tag = r#""snapshot":""#;
+    let ss = snap.find(tag).expect("snapshot reply") + tag.len();
+    let se = snap[ss..].find('"').unwrap() + ss;
+    let blob = &snap[ss..se];
+    let at = (0..blob.len())
+        .step_by(2)
+        .find(|&i| blob.as_bytes()[i] == b'0')
+        .expect("a pair with a leading 0 digit");
+    let signed = format!("{}+{}", &blob[..at], &blob[at + 1..]);
+    let r = s.handle_line(&format!(
+        r#"{{"id":2,"op":"restore","session":"{sid}","snapshot":"{signed}"}}"#
+    ));
+    assert_eq!(
+        r,
+        format!(
+            r#"{{"id":2,"ok":false,"error":{{"code":"bad_value","msg":"bad hex `{}` in `snapshot`"}}}}"#,
+            &signed[at..at + 2]
+        )
+    );
+    let r = s.handle_line(&format!(
+        r#"{{"id":3,"op":"restore","session":"{sid}","snapshot":"{blob}"}}"#
+    ));
+    assert_eq!(r, r#"{"id":3,"ok":true}"#);
+}
+
+#[test]
+fn deep_nesting_is_a_reply_not_a_stack_overflow() {
+    // Without a cap the parser recurses once per bracket, and a million
+    // of them overflow the thread's stack: an abort, not a panic.
+    let s = server();
+    let depth = 1_000_000;
+    let line = "[".repeat(depth) + &"]".repeat(depth);
+    assert_eq!(
+        s.handle_line(&line),
+        format!(
+            r#"{{"id":0,"ok":false,"error":{{"code":"bad_json","msg":"nesting deeper than {max} at offset {max}"}}}}"#,
+            max = scflow_serve::json::MAX_DEPTH
+        )
+    );
+    assert!(s
+        .handle_line(r#"{"id":1,"op":"ping"}"#)
+        .contains(r#""ok":true"#));
+}
+
 #[test]
 fn step_batch_equals_the_unbatched_sequence() {
     let s = server();
