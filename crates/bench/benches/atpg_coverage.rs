@@ -48,6 +48,9 @@ fn record(h: &mut Harness, run: &Run) {
     h.metric("decisions", r.stats.decisions as f64);
     h.metric("backtracks", r.stats.backtracks as f64);
     h.metric("implied_evals", r.stats.implied_evals as f64);
+    h.metric("fsim_frame", r.stats.fsim_frame as f64);
+    h.metric("fsim_protocol", r.stats.fsim_protocol as f64);
+    h.metric("fsim_cone_evals", r.stats.fsim_cone_evals as f64);
 }
 
 fn gen_netlist(gates: usize) -> GateNetlist {

@@ -5,8 +5,10 @@
 //! set, it grows a compact pattern set until the stuck-at fault list is
 //! covered:
 //!
-//! 1. **Random stage** — 64-pattern rounds simulated with the PPSFP
-//!    machinery ([`crate::fault`]) and fault dropping; rounds whose
+//! 1. **Random stage** — 64-pattern rounds simulated by the PPSFP
+//!    kernel ([`crate::fault::detection_masks`], built once per call and
+//!    shared with the verification and compaction stages) with fault
+//!    dropping; rounds whose
 //!    marginal yield is zero are discarded, and the stage stops after
 //!    [`AtpgOptions::random_stall`] consecutive dry rounds (random
 //!    patterns find the easy faults at a fraction of a directed search's
@@ -41,8 +43,7 @@ mod implic;
 
 use crate::celllib::CellLibrary;
 use crate::compile::GateProgram;
-use crate::bitpar::BitGateSim;
-use crate::fault::{apply_pattern_batch, fault_threads, FaultSite, ScanPattern};
+use crate::fault::{fault_threads, FaultSite, Ppsfp, ScanPattern};
 use crate::netlist::GateNetlist;
 use implic::{Frame, FrameInput};
 use scflow_hwtypes::Bv;
@@ -255,6 +256,16 @@ pub struct AtpgStats {
     pub implied_evals: u64,
     /// Pattern count before reverse-order compaction.
     pub patterns_before_compaction: usize,
+    /// Fault × batch simulations of the random, verification and
+    /// compaction stages finished on the capture frame
+    /// ([`crate::fault::detection_masks`]).
+    pub fsim_frame: u64,
+    /// Fault × batch simulations run on the full scan protocol.
+    pub fsim_protocol: u64,
+    /// Instructions re-evaluated on the capture frame. Like the other
+    /// fault-simulation counters it sums per-fault work, so it is
+    /// independent of the thread count.
+    pub fsim_cone_evals: u64,
     /// Coverage checkpoints, in stage order.
     pub curve: Vec<CurvePoint>,
 }
@@ -276,6 +287,9 @@ impl AtpgStats {
             &format!("{prefix}.patterns_before_compaction"),
             self.patterns_before_compaction as u64,
         );
+        reg.set_counter(&format!("{prefix}.fsim.frame"), self.fsim_frame);
+        reg.set_counter(&format!("{prefix}.fsim.protocol"), self.fsim_protocol);
+        reg.set_counter(&format!("{prefix}.fsim.cone_evals"), self.fsim_cone_evals);
         for (i, p) in self.curve.iter().enumerate() {
             reg.set_counter(
                 &format!("{prefix}.curve.c{i:03}.{}.patterns", p.stage),
@@ -375,6 +389,7 @@ pub fn generate_tests(
     };
     let frame = Frame::new(&prog);
     let threads = fault_threads();
+    let mut kernel = Ppsfp::new(&prog, threads);
     let mut classes = vec![FaultClass::Undetected; faults.len()];
     let mut patterns: Vec<ScanPattern> = Vec::new();
     let mut stats = AtpgStats::default();
@@ -406,7 +421,7 @@ pub fn generate_tests(
                 .filter(|&i| classes[i] == FaultClass::Undetected)
                 .collect();
             let targets: Vec<FaultSite> = alive.iter().map(|&i| faults[i]).collect();
-            let masks = detection_masks(&prog, &targets, &batch, threads);
+            let masks = kernel.masks(&targets, &batch);
             let mut yield_ = 0;
             for (&i, &m) in alive.iter().zip(&masks) {
                 if m != 0 {
@@ -435,7 +450,7 @@ pub fn generate_tests(
     // 64-pattern verification batches that also fault-drop.
     if opts.directed {
         let mut buffer: Vec<(usize, ScanPattern)> = Vec::new();
-        let flush = |buffer: &mut Vec<(usize, ScanPattern)>,
+        let mut flush = |buffer: &mut Vec<(usize, ScanPattern)>,
                          classes: &mut Vec<FaultClass>,
                          patterns: &mut Vec<ScanPattern>,
                          stats: &mut AtpgStats| {
@@ -449,7 +464,7 @@ pub fn generate_tests(
                 .filter(|&i| matches!(classes[i], FaultClass::Undetected | FaultClass::Aborted))
                 .collect();
             let targets: Vec<FaultSite> = alive.iter().map(|&i| faults[i]).collect();
-            let masks = detection_masks(&prog, &targets, &batch, threads);
+            let masks = kernel.masks(&targets, &batch);
             let mut yield_ = 0;
             for (&i, &m) in alive.iter().zip(&masks) {
                 if m != 0 {
@@ -527,7 +542,7 @@ pub fn generate_tests(
     // Stage 3: reverse-order compaction.
     stats.patterns_before_compaction = patterns.len();
     if opts.compact && !patterns.is_empty() {
-        compact(&prog, faults, &mut classes, &mut patterns, threads);
+        compact(&mut kernel, faults, &mut classes, &mut patterns);
         stats.curve.push(CurvePoint {
             stage: "compact",
             patterns: patterns.len(),
@@ -535,6 +550,10 @@ pub fn generate_tests(
         });
     }
 
+    let work = kernel.work();
+    stats.fsim_frame = work.frame;
+    stats.fsim_protocol = work.protocol;
+    stats.fsim_cone_evals = work.cone_evals;
     AtpgResult {
         patterns,
         classes,
@@ -711,80 +730,14 @@ fn pattern_from_assigns(
     }
 }
 
-/// Simulates one ≤64-pattern batch against each fault and returns the
-/// lane mask of detecting patterns (same signature-difference criterion
-/// as PPSFP, same engine, sharded the same way — per-fault masks are
-/// independent of sharding and thread count).
-fn detection_masks(
-    prog: &GateProgram,
-    faults: &[FaultSite],
-    batch: &[ScanPattern],
-    threads: usize,
-) -> Vec<u64> {
-    if faults.is_empty() || batch.is_empty() {
-        return vec![0; faults.len()];
-    }
-    let lane_mask = if batch.len() == 64 {
-        !0u64
-    } else {
-        (1u64 << batch.len()) - 1
-    };
-    let golden: Vec<(u64, u64)> = {
-        let mut sim = prog.simulator_lanes(64);
-        sim.reset();
-        apply_pattern_batch(&mut sim, batch)
-    };
-    let run = |shard: &[FaultSite], out: &mut [u64]| {
-        let mut sim = prog.simulator_lanes(64);
-        mask_pass(&mut sim, shard, out, batch, &golden, lane_mask);
-    };
-    let threads = threads.clamp(1, faults.len());
-    let mut masks = vec![0u64; faults.len()];
-    if threads == 1 {
-        run(faults, &mut masks);
-    } else {
-        let chunk = faults.len().div_ceil(threads);
-        let run = &run;
-        std::thread::scope(|s| {
-            for (shard, out) in faults.chunks(chunk).zip(masks.chunks_mut(chunk)) {
-                s.spawn(move || run(shard, out));
-            }
-        });
-    }
-    masks
-}
-
-/// One shard of a detection-mask pass (mirrors `fault::shard_pass`, but
-/// records the full lane mask instead of the first differing batch).
-fn mask_pass(
-    sim: &mut BitGateSim<'_>,
-    shard: &[FaultSite],
-    out: &mut [u64],
-    batch: &[ScanPattern],
-    golden: &[(u64, u64)],
-    lane_mask: u64,
-) {
-    for (fault, slot) in shard.iter().zip(out.iter_mut()) {
-        sim.reset();
-        sim.inject_stuck_at(fault.instance, fault.stuck_at);
-        let sig = apply_pattern_batch(sim, batch);
-        let mut mask = 0u64;
-        for (s, g) in sig.iter().zip(golden) {
-            mask |= (s.0 ^ g.0) | (s.1 ^ g.1);
-        }
-        *slot = mask & lane_mask;
-    }
-}
-
 /// Reverse-order compaction: walk the pattern set newest-first, keep a
 /// pattern only if it detects a fault no kept (newer) pattern detects,
 /// then rewrite `classes` against the surviving set.
 fn compact(
-    prog: &GateProgram,
+    kernel: &mut Ppsfp<'_>,
     faults: &[FaultSite],
     classes: &mut [FaultClass],
     patterns: &mut Vec<ScanPattern>,
-    threads: usize,
 ) {
     let mut alive: Vec<usize> = (0..faults.len())
         .filter(|&i| matches!(classes[i], FaultClass::Detected { .. }))
@@ -801,7 +754,7 @@ fn compact(
         let hi = (lo + 64).min(patterns.len());
         let batch = &patterns[lo..hi];
         let targets: Vec<FaultSite> = alive.iter().map(|&i| faults[i]).collect();
-        let masks = detection_masks(prog, &targets, batch, threads);
+        let masks = kernel.masks(&targets, batch);
         let mut covered = vec![false; alive.len()];
         for lane in (0..batch.len()).rev() {
             let bit = 1u64 << lane;

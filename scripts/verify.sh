@@ -132,10 +132,13 @@ echo "ok: BENCH_opt.json emitted (floor enforced by the bench)"
 echo "== ATPG property suite (two-engine replay + exhaustive cross-check) =="
 # Every pattern set replays identically on GateSim and BitGateSim and
 # detects exactly the Detected verdicts; Untestable verdicts match
-# brute-force enumeration on small frames. Seeds are pinned inside the
-# suite.
+# brute-force enumeration on small frames; the PPSFP kernel's
+# capture-frame masks equal full-protocol masks for every collapsed
+# fault of the six SRC netlists and the generator families. Seeds are
+# pinned inside the suites.
 cargo test --release -q --offline -p scflow-gate --test atpg_properties
 cargo test --release -q --offline -p scflow --test atpg_flow
+cargo test --release -q --offline -p scflow --test fsim_frame
 
 echo "== ATPG directed-stage smoke =="
 # PODEM alone (random stage off, tiny backtrack budget) must classify
