@@ -101,7 +101,9 @@ fn sweep(server: &Server, sid: &str, round: u64) {
 }
 
 fn main() {
-    let mut h = Harness::new("serve_throughput").with_iters(3).with_warmup(1);
+    let mut h = Harness::new("serve_throughput")
+        .with_iters(3)
+        .with_warmup(1);
 
     // --- open_session latency: cold compile vs cache hit ------------
     h.bench("open_cold_compile", || {

@@ -249,7 +249,9 @@ mod tests {
     #[test]
     fn buggy_variant_is_bit_identical_but_observes_invalid_indices() {
         let cfg = SrcConfig::dvd_to_cd(); // downsampling hits the corner
-        let input: Vec<i16> = (0..4800).map(|i| ((i * 131) % 9973) as i16 - 4000).collect();
+        let input: Vec<i16> = (0..4800)
+            .map(|i| ((i * 131) % 9973) as i16 - 4000)
+            .collect();
         let clean = AlgoSrc::new(&cfg).process(&input);
         let mut buggy_src = AlgoSrc::new(&cfg).with_buffer_bug();
         let buggy = buggy_src.process(&input);

@@ -38,7 +38,9 @@ pub fn design_prototype(cfg: &SrcConfig) -> Vec<i16> {
     // per phase should be ~1.
     let mut max_phase_sum = 0.0f64;
     for p in 0..SrcConfig::PHASES {
-        let s: f64 = (0..SrcConfig::TAPS).map(|k| h[k * SrcConfig::PHASES + p]).sum();
+        let s: f64 = (0..SrcConfig::TAPS)
+            .map(|k| h[k * SrcConfig::PHASES + p])
+            .sum();
         max_phase_sum = max_phase_sum.max(s.abs());
     }
     let scale = 1.0 / max_phase_sum;
@@ -189,10 +191,7 @@ mod tests {
                 .map(|k| i64::from(proto[k * SrcConfig::PHASES + p]))
                 .sum();
             let gain = s as f64 / q;
-            assert!(
-                (0.80..=1.001).contains(&gain),
-                "phase {p} gain {gain}"
-            );
+            assert!((0.80..=1.001).contains(&gain), "phase {p} gain {gain}");
         }
     }
 

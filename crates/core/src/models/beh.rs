@@ -196,7 +196,10 @@ pub fn beh_program(cfg: &SrcConfig, variant: BehVariant) -> BehProgram {
     let coef_mem = p.memory(
         "coef_rom",
         16,
-        rom.words().iter().map(|&c| Bv::from_i64(i64::from(c), 16)).collect(),
+        rom.words()
+            .iter()
+            .map(|&c| Bv::from_i64(i64::from(c), 16))
+            .collect(),
     );
     let buf_mem = p.memory("in_buf", 16, vec![Bv::zero(16); SrcConfig::BUFFER]);
 
@@ -209,23 +212,39 @@ pub fn beh_program(cfg: &SrcConfig, variant: BehVariant) -> BehProgram {
     let macc = p.var("macc", aw);
 
     if pessimistic {
-        build_unopt_body(cfg, &mut p, in_port, out_port, coef_mem, buf_mem, Vars {
-            acc,
-            consume,
-            phase,
-            k,
-            wptr,
-            macc,
-        });
+        build_unopt_body(
+            cfg,
+            &mut p,
+            in_port,
+            out_port,
+            coef_mem,
+            buf_mem,
+            Vars {
+                acc,
+                consume,
+                phase,
+                k,
+                wptr,
+                macc,
+            },
+        );
     } else {
-        build_opt_body(cfg, &mut p, in_port, out_port, coef_mem, buf_mem, Vars {
-            acc,
-            consume,
-            phase,
-            k,
-            wptr,
-            macc,
-        });
+        build_opt_body(
+            cfg,
+            &mut p,
+            in_port,
+            out_port,
+            coef_mem,
+            buf_mem,
+            Vars {
+                acc,
+                consume,
+                phase,
+                k,
+                wptr,
+                macc,
+            },
+        );
     }
     p.build()
 }

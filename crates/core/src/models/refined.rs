@@ -117,12 +117,8 @@ pub fn run_refined_model(cfg: &SrcConfig, input: &[i16]) -> SimRun {
     // Main thread: the SRC's functional behaviour, synchronised by
     // explicit events and using interface method calls on the submodules.
     kernel.spawn("src.main", {
-        let (k, ibuf, coef, out_fifo) = (
-            kernel.clone(),
-            ibuf.clone(),
-            coef.clone(),
-            out_fifo.clone(),
-        );
+        let (k, ibuf, coef, out_fifo) =
+            (kernel.clone(), ibuf.clone(), coef.clone(), out_fifo.clone());
         let (demand, demand_event) = (demand.clone(), demand_event.clone());
         let cfg = cfg.clone();
         async move {

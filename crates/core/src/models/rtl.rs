@@ -92,7 +92,10 @@ fn build_optimised(cfg: &SrcConfig, buggy: bool, name: &str) -> Result<Module, R
     let coef = b.memory(
         "coef_rom",
         16,
-        rom.words().iter().map(|&c| Bv::from_i64(i64::from(c), 16)).collect(),
+        rom.words()
+            .iter()
+            .map(|&c| Bv::from_i64(i64::from(c), 16))
+            .collect(),
     );
 
     // State decodes.
@@ -154,10 +157,7 @@ fn build_optimised(cfg: &SrcConfig, buggy: bool, name: &str) -> Result<Module, R
     b.mem_write(buf, b.n(wptr), b.n(in_data), b.n(accept));
 
     // Register updates.
-    b.set_next(
-        acc,
-        b.n(st_adv).mux(b.n(wide_acc), b.n(acc)),
-    );
+    b.set_next(acc, b.n(st_adv).mux(b.n(wide_acc), b.n(acc)));
     b.set_next(
         phase,
         b.n(st_adv).mux(b.n(wide_acc).slice(23, 19), b.n(phase)),
@@ -190,8 +190,7 @@ fn build_optimised(cfg: &SrcConfig, buggy: bool, name: &str) -> Result<Module, R
         macc,
         b.n(st_adv).mux(
             Expr::lit(0, SrcConfig::ACC_BITS),
-            b.n(st_mac)
-                .mux(b.n(macc).add(b.n(prod)), b.n(macc)),
+            b.n(st_mac).mux(b.n(macc).add(b.n(prod)), b.n(macc)),
         ),
     );
 
@@ -222,10 +221,8 @@ fn build_optimised(cfg: &SrcConfig, buggy: bool, name: &str) -> Result<Module, R
         state,
         b.n(st_adv).mux(
             b.n(adv_next),
-            b.n(st_con).mux(
-                b.n(con_next),
-                b.n(st_mac).mux(b.n(mac_next), b.n(out_next)),
-            ),
+            b.n(st_con)
+                .mux(b.n(con_next), b.n(st_mac).mux(b.n(mac_next), b.n(out_next))),
         ),
     );
 
@@ -237,10 +234,7 @@ fn build_optimised(cfg: &SrcConfig, buggy: bool, name: &str) -> Result<Module, R
             .slice(15, 0),
     );
     b.output("in_sample_ready", b.n(st_con));
-    b.output(
-        "out_sample",
-        b.n(st_out).mux(b.n(y), Expr::lit(0, 16)),
-    );
+    b.output("out_sample", b.n(st_out).mux(b.n(y), Expr::lit(0, 16)));
     b.output("out_sample_valid", b.n(st_out));
     b.output("dbg_state", b.n(state));
 
@@ -273,7 +267,10 @@ fn build_unoptimised(cfg: &SrcConfig) -> Result<Module, RtlError> {
     let coef = b.memory(
         "coef_rom",
         16,
-        rom.words().iter().map(|&c| Bv::from_i64(i64::from(c), 16)).collect(),
+        rom.words()
+            .iter()
+            .map(|&c| Bv::from_i64(i64::from(c), 16))
+            .collect(),
     );
 
     let st_adv = b.comb("st_adv", b.n(state).eq(Expr::lit(0, 3)));
@@ -438,8 +435,7 @@ fn spawn_two_process_src(kernel: &Kernel, clk: &scflow_kernel::Clock, cfg: &SrcC
     }
 
     let rom = Rc::new(CoefficientRom::design(cfg));
-    let buf: Rc<RefCell<[i16; SrcConfig::BUFFER]>> =
-        Rc::new(RefCell::new([0; SrcConfig::BUFFER]));
+    let buf: Rc<RefCell<[i16; SrcConfig::BUFFER]>> = Rc::new(RefCell::new([0; SrcConfig::BUFFER]));
 
     // Current and next register state as signals (the 2-process style).
     let cur = kernel.signal("cur", Regs::default());
@@ -457,8 +453,7 @@ fn spawn_two_process_src(kernel: &Kernel, clk: &scflow_kernel::Clock, cfg: &SrcC
         let k2 = kernel.clone();
         let (cur, nxt) = (cur.clone(), nxt.clone());
         let (in_data, in_valid, in_ready) = (in_data.clone(), in_valid.clone(), in_ready.clone());
-        let (out_data, out_valid, ram_we) =
-            (out_data.clone(), out_valid.clone(), ram_we.clone());
+        let (out_data, out_valid, ram_we) = (out_data.clone(), out_valid.clone(), ram_we.clone());
         let (rom, buf) = (rom.clone(), buf.clone());
         let step = cfg.step;
         async move {

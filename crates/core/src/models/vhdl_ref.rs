@@ -51,7 +51,10 @@ pub fn build_vhdl_ref(cfg: &SrcConfig) -> Result<Module, RtlError> {
     let coef = b.memory(
         "coef_rom",
         16,
-        rom.words().iter().map(|&c| Bv::from_i64(i64::from(c), 16)).collect(),
+        rom.words()
+            .iter()
+            .map(|&c| Bv::from_i64(i64::from(c), 16))
+            .collect(),
     );
 
     let st_adv = b.comb("st_adv", b.n(state).eq(Expr::lit(0, 3)));

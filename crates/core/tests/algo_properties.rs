@@ -17,8 +17,7 @@ type RatePair = Filter<(IntRange<u32>, IntRange<u32>), fn(&(u32, u32)) -> bool>;
 
 /// Audio-plausible rate pairs within the supported ratio (< 2x down).
 fn rates() -> RatePair {
-    (ints(8_000u32..=95_999), ints(8_000u32..=95_999))
-        .filter("ratio limit", |(i, o)| *i < 2 * *o)
+    (ints(8_000u32..=95_999), ints(8_000u32..=95_999)).filter("ratio limit", |(i, o)| *i < 2 * *o)
 }
 
 fn samples(min: usize, max: usize) -> VecStrategy<IntRange<i16>> {
@@ -53,7 +52,12 @@ fn accumulator_invariants(&(in_rate, out_rate): &(u32, u32)) -> scflow_testkit::
 
 #[test]
 fn accumulator_invariants_hold_for_any_rate_pair() {
-    check_with(&cases(40), "accumulator invariants", &rates(), accumulator_invariants);
+    check_with(
+        &cases(40),
+        "accumulator invariants",
+        &rates(),
+        accumulator_invariants,
+    );
 }
 
 fn output_count(&((in_rate, out_rate), n_in): &((u32, u32), usize)) -> scflow_testkit::TestResult {

@@ -36,7 +36,10 @@ fn collapsed_and_uncollapsed_detected_sets_agree_on_src() {
 
     let all = all_fault_sites(&nl);
     let collapsed = collapse_faults(&nl, &all);
-    assert!(collapsed.faults.len() < all.len(), "collapsing had no effect");
+    assert!(
+        collapsed.faults.len() < all.len(),
+        "collapsing had no effect"
+    );
 
     let r = generate_tests(&nl, &lib, &collapsed.faults, &quick_opts());
     assert!(!r.patterns.is_empty());

@@ -81,7 +81,10 @@ fn ctrl_interface_switches_mode() {
     });
     kernel.run();
     let phase1 = *n1.borrow();
-    assert!(phase1 > 50, "upsampling should produce > inputs, got {phase1}");
+    assert!(
+        phase1 > 50,
+        "upsampling should produce > inputs, got {phase1}"
+    );
 
     // SRC_CTRL: switch operation mode (resets converter state).
     channel.set_mode(&down);

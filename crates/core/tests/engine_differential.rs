@@ -41,11 +41,7 @@ fn variants(cfg: &SrcConfig) -> Vec<(&'static str, Module, bool)> {
             build_rtl_src(cfg, RtlVariant::Optimised).expect("rtl opt"),
             false,
         ),
-        (
-            "vhdl_ref",
-            build_vhdl_ref(cfg).expect("vhdl ref"),
-            false,
-        ),
+        ("vhdl_ref", build_vhdl_ref(cfg).expect("vhdl ref"), false),
         (
             "rtl_buggy",
             build_rtl_src(cfg, RtlVariant::OptimisedBuggy).expect("rtl buggy"),

@@ -42,11 +42,7 @@ fn variants(cfg: &SrcConfig) -> Vec<(&'static str, Module, bool)> {
             build_rtl_src(cfg, RtlVariant::Optimised).expect("rtl opt"),
             false,
         ),
-        (
-            "vhdl_ref",
-            build_vhdl_ref(cfg).expect("vhdl ref"),
-            false,
-        ),
+        ("vhdl_ref", build_vhdl_ref(cfg).expect("vhdl ref"), false),
         (
             "rtl_buggy",
             build_rtl_src(cfg, RtlVariant::OptimisedBuggy).expect("rtl buggy"),
@@ -96,7 +92,11 @@ fn gate_engines_agree_on_every_variant() {
 
         let mut ev = GateSim::new(&nl, &lib);
         let ev_run = run_one(&mut ev, fixed, &golden.input, golden.len(), budget);
-        assert_eq!(ev_run.0.len(), golden.len(), "`{name}`: testbench completed");
+        assert_eq!(
+            ev_run.0.len(),
+            golden.len(),
+            "`{name}`: testbench completed"
+        );
         assert_eq!(ev_run.0, golden.output, "`{name}`: gate level bit-accurate");
 
         let prog = GateProgram::compile(&nl).expect("compiles");

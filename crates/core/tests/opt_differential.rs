@@ -77,7 +77,11 @@ fn stimulus_for(module: &Module, cycle: u64, rng: &mut Rng) -> Vec<(String, Bv)>
         .iter()
         .filter(|p| p.dir == PortDir::Input)
         .map(|p| {
-            let mask = if p.width >= 64 { u64::MAX } else { (1u64 << p.width) - 1 };
+            let mask = if p.width >= 64 {
+                u64::MAX
+            } else {
+                (1u64 << p.width) - 1
+            };
             (p.name.clone(), Bv::new(rng.next_u64() & mask, p.width))
         })
         .collect()
@@ -138,8 +142,8 @@ fn passes_preserve_every_src_variant_on_both_engines() {
     let cycles = 400;
     for (name, module, _) in variants(&cfg) {
         let p0 = CompiledProgram::compile_with(&module, &PassConfig::off()).expect("opt0 compiles");
-        let p2 =
-            CompiledProgram::compile_with(&module, &PassConfig::for_level(2)).expect("opt2 compiles");
+        let p2 = CompiledProgram::compile_with(&module, &PassConfig::for_level(2))
+            .expect("opt2 compiles");
         assert!(
             p2.instruction_count() <= p0.instruction_count(),
             "`{name}`: passes must never grow the program \
@@ -179,8 +183,8 @@ fn testbench_protocol_is_level_invariant() {
 
     for (name, module, fixed) in variants(&cfg) {
         let p0 = CompiledProgram::compile_with(&module, &PassConfig::off()).expect("opt0 compiles");
-        let p2 =
-            CompiledProgram::compile_with(&module, &PassConfig::for_level(2)).expect("opt2 compiles");
+        let p2 = CompiledProgram::compile_with(&module, &PassConfig::for_level(2))
+            .expect("opt2 compiles");
         let mut s0 = p0.simulator();
         let mut s2 = p2.simulator();
         let (r0, r2) = if fixed {
@@ -199,7 +203,10 @@ fn testbench_protocol_is_level_invariant() {
             "`{name}`: pass level changed the (outputs, cycles) stream"
         );
         if name != "rtl_buggy" {
-            assert_eq!(r2.0, golden.output, "`{name}`: optimized run left the golden rail");
+            assert_eq!(
+                r2.0, golden.output,
+                "`{name}`: optimized run left the golden rail"
+            );
         }
     }
 }

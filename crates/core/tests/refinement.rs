@@ -118,8 +118,8 @@ fn kernel_models_report_activity() {
 #[test]
 fn beh_variants_have_decreasing_registers() {
     let cfg = SrcConfig::cd_to_dvd();
-    let unopt = scflow::models::beh::synthesize_beh_src(&cfg, BehVariant::Unoptimised)
-        .expect("beh unopt");
+    let unopt =
+        scflow::models::beh::synthesize_beh_src(&cfg, BehVariant::Unoptimised).expect("beh unopt");
     let opt =
         scflow::models::beh::synthesize_beh_src(&cfg, BehVariant::Optimised).expect("beh opt");
     assert!(

@@ -135,7 +135,8 @@ fn differential_rtl_vs_gate_on_seeded_noise() {
         let g = GoldenVectors::generate(&cfg, stimulus::noise(100, 9_000, seed));
         let budget = scflow::flow::cycle_budget(g.len());
         let (rtl_out, _) = run_handshake(&mut RtlSim::new(&m), &g.input, g.len(), budget);
-        let (gate_out, _) = run_handshake(&mut GateSim::new(&netlist, &lib), &g.input, g.len(), budget);
+        let (gate_out, _) =
+            run_handshake(&mut GateSim::new(&netlist, &lib), &g.input, g.len(), budget);
         if let Some(d) = first_divergence("dut.out", &rtl_out, &gate_out) {
             panic!("stimulus seed {seed:#x}: {d}");
         }
@@ -160,7 +161,9 @@ fn differential_cosim_testbenches_on_seeded_noise() {
 
     let native = run_native_hdl(&mut RtlSim::new(&m), &g, 1_000_000);
     let cosim = run_kernel_cosim(&mut RtlSim::new(&m), &g, 1_000_000);
-    let times: Vec<u64> = (0..native.outputs.len() as u64).map(|i| i * 40_000).collect();
+    let times: Vec<u64> = (0..native.outputs.len() as u64)
+        .map(|i| i * 40_000)
+        .collect();
     if let Some(d) = first_divergence_timed("tb.out", &native.outputs, &cosim.outputs, &times) {
         panic!("stimulus seed {seed:#x}: {d}");
     }

@@ -94,7 +94,12 @@ fn roundtrip<S: Simulation>(name: &str, sim: &mut S, violations: impl Fn(&S) -> 
 
     assert_eq!(straight, replayed, "{name}: replay is byte-identical");
     assert!(
-        straight.vcd.is_none() || straight.vcd.as_deref().unwrap_or("").contains("$enddefinitions"),
+        straight.vcd.is_none()
+            || straight
+                .vcd
+                .as_deref()
+                .unwrap_or("")
+                .contains("$enddefinitions"),
         "{name}: VCD rendered"
     );
 }
@@ -109,7 +114,9 @@ fn snapshot_roundtrip_is_byte_identical_on_every_capable_engine() {
 
     let mut sim = program.simulator();
     sim.check_addresses = true;
-    roundtrip("rtl.compiled", &mut sim, |s| format!("{:?}", s.violations()));
+    roundtrip("rtl.compiled", &mut sim, |s| {
+        format!("{:?}", s.violations())
+    });
 
     let mut sim = program.bit_simulator();
     sim.check_addresses = true;
@@ -155,7 +162,10 @@ fn foreign_snapshots_are_refused_without_corrupting_state() {
         let trunc = scflow_sim_api::Snapshot::from_blob(own.blob()[..cut].to_vec());
         assert!(!compiled.restore(&trunc), "truncated at {cut} refused");
     }
-    assert!(compiled.restore(&own), "own blob still restores after refusals");
+    assert!(
+        compiled.restore(&own),
+        "own blob still restores after refusals"
+    );
 }
 
 /// Builds `n` single-item scenarios, each poking a distinct
@@ -212,12 +222,14 @@ fn forked_scenarios_match_fresh_runs_per_scenario() {
             .collect(),
         read: batches[0].read.clone(),
     };
-    let lanes =
-        run_forked_scenarios(&mut bit, warm, std::slice::from_ref(&lane_batch), true)
-            .expect("lane sweep");
+    let lanes = run_forked_scenarios(&mut bit, warm, std::slice::from_ref(&lane_batch), true)
+        .expect("lane sweep");
     let flat: Vec<_> = forked.iter().flat_map(|r| r.outputs.iter()).collect();
     let lane_flat: Vec<_> = lanes[0].outputs.iter().collect();
-    assert_eq!(flat, lane_flat, "lane fork outputs == sequential fork outputs");
+    assert_eq!(
+        flat, lane_flat,
+        "lane fork outputs == sequential fork outputs"
+    );
 }
 
 #[test]
@@ -252,8 +264,12 @@ fn bit_engine_lane0_matches_compiled_on_every_rtl_variant() {
         let mut bit = program.bit_simulator();
         scalar.check_addresses = check;
         bit.check_addresses = check;
-        let scalar_run =
-            scflow::models::harness::run_handshake(&mut scalar, &golden.input, golden.len(), budget);
+        let scalar_run = scflow::models::harness::run_handshake(
+            &mut scalar,
+            &golden.input,
+            golden.len(),
+            budget,
+        );
         let bit_run =
             scflow::models::harness::run_handshake(&mut bit, &golden.input, golden.len(), budget);
         assert_eq!(

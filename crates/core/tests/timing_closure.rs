@@ -89,8 +89,7 @@ fn scan_insertion_does_not_break_timing() {
     use scflow_gate::CellKind;
     let bypass = lib.delay(CellKind::Mux2);
     assert!(
-        with_scan.timing.critical_path_ps
-            <= without.timing.critical_path_ps + bypass + 100,
+        with_scan.timing.critical_path_ps <= without.timing.critical_path_ps + bypass + 100,
         "scan insertion distorted the data path beyond the read-bypass mux: \
          {} ps with scan vs {} ps without",
         with_scan.timing.critical_path_ps,

@@ -181,8 +181,7 @@ pub fn run_native_hdl_compiled(
     max_cycles: u64,
 ) -> CosimRun {
     let tb_module = build_hdl_testbench(golden).expect("testbench builds");
-    let tb_program =
-        scflow_rtl::CompiledProgram::compile(&tb_module).expect("testbench compiles");
+    let tb_program = scflow_rtl::CompiledProgram::compile(&tb_module).expect("testbench compiles");
     let mut tb = tb_program.simulator();
     native_hdl_lockstep(&mut tb, dut, golden.len(), max_cycles)
 }
@@ -299,10 +298,7 @@ pub fn run_kernel_cosim(
             "kernel co-simulation exceeded {max_cycles} cycles"
         );
         kernel.run_for(SimTime::from_ns(40));
-        dut.poke(
-            "in_sample",
-            Bv::from_i64(i64::from(s_in_sample.read()), 16),
-        );
+        dut.poke("in_sample", Bv::from_i64(i64::from(s_in_sample.read()), 16));
         dut.poke("in_sample_valid", Bv::bit(s_in_valid.read()));
         dut.poke("out_sample_ready", Bv::bit(true));
         dut.settle();

@@ -9,8 +9,8 @@ use scflow::{stimulus, SrcConfig};
 use scflow_cosim::{
     build_hdl_testbench, run_kernel_cosim, run_native_hdl, run_native_hdl_compiled,
 };
-use scflow_rtl::CompiledProgram;
 use scflow_gate::{CellLibrary, GateSim};
+use scflow_rtl::CompiledProgram;
 use scflow_rtl::RtlSim;
 use scflow_synth::rtl::{synthesize, SynthOptions};
 

@@ -42,8 +42,16 @@ impl AreaReport {
 
 impl fmt::Display for AreaReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Combinational area: {:>12.1} um^2", self.combinational_um2)?;
-        writeln!(f, "Noncombinational area: {:>9.1} um^2", self.sequential_um2)?;
+        writeln!(
+            f,
+            "Combinational area: {:>12.1} um^2",
+            self.combinational_um2
+        )?;
+        writeln!(
+            f,
+            "Noncombinational area: {:>9.1} um^2",
+            self.sequential_um2
+        )?;
         writeln!(f, "Total cell area:    {:>12.1} um^2", self.total_um2())?;
         write!(f, "Cells: {}", self.cell_count())
     }

@@ -274,8 +274,14 @@ impl AtpgStats {
     /// Registers the deterministic quantities under `prefix` (e.g.
     /// `atpg`): stage yields, search effort and the coverage curve.
     pub fn register_into(&self, reg: &mut scflow_obs::MetricsRegistry, prefix: &str) {
-        reg.set_counter(&format!("{prefix}.random_rounds"), self.random_rounds as u64);
-        reg.set_counter(&format!("{prefix}.random_detected"), self.random_detected as u64);
+        reg.set_counter(
+            &format!("{prefix}.random_rounds"),
+            self.random_rounds as u64,
+        );
+        reg.set_counter(
+            &format!("{prefix}.random_detected"),
+            self.random_detected as u64,
+        );
         reg.set_counter(
             &format!("{prefix}.directed_detected"),
             self.directed_detected as u64,
@@ -819,8 +825,7 @@ pub fn exhaustive_frame_detectable(
     }
     let k = frame.inputs.len();
     for word in 0u64..(1u64 << k) {
-        let assigns: Vec<(u32, bool)> =
-            (0..k).map(|b| (b as u32, word >> b & 1 == 1)).collect();
+        let assigns: Vec<(u32, bool)> = (0..k).map(|b| (b as u32, word >> b & 1 == 1)).collect();
         let state = frame.eval(fault, &assigns);
         if frame.detected(fault, &state) {
             return Some(true);

@@ -116,7 +116,11 @@ impl Ctrl {
             cc1[inp.net() as usize] = 1;
         }
         for &(net, v) in pinned {
-            let (z, o) = if v == Logic::Zero { (0, CC_INF) } else { (CC_INF, 0) };
+            let (z, o) = if v == Logic::Zero {
+                (0, CC_INF)
+            } else {
+                (CC_INF, 0)
+            };
             cc0[net as usize] = z;
             cc1[net as usize] = o;
         }
@@ -299,9 +303,7 @@ impl<'p> Frame<'p> {
 
     /// `Some(chain position)` when the fault sits on a flop output.
     pub(crate) fn fault_chain_pos(&self, fault: FaultSite) -> Option<usize> {
-        self.obs_flops
-            .binary_search(&(fault.instance as u32))
-            .ok()
+        self.obs_flops.binary_search(&(fault.instance as u32)).ok()
     }
 
     /// Evaluates both planes under a partial input assignment (a decision
@@ -682,8 +684,8 @@ impl<'p> Frame<'p> {
                 let (g, f) = (state.good[n as usize], state.faulty[n as usize]);
                 g.is_known() && f.is_known() && g != f
             };
-            let out_known = state.good[out as usize].is_known()
-                && state.faulty[out as usize].is_known();
+            let out_known =
+                state.good[out as usize].is_known() && state.faulty[out as usize].is_known();
             if out_known || !operands[..npins].iter().any(|&n| diff(n)) {
                 continue;
             }
@@ -701,7 +703,12 @@ impl<'p> Frame<'p> {
     /// already known) whose target bit matches and pursues an unknown
     /// address bit of that word. `None` when no rule applies (the driver
     /// then backtracks).
-    pub(crate) fn backtrace(&self, state: &FrameState, mut net: u32, mut val: bool) -> Option<(u32, bool)> {
+    pub(crate) fn backtrace(
+        &self,
+        state: &FrameState,
+        mut net: u32,
+        mut val: bool,
+    ) -> Option<(u32, bool)> {
         for _ in 0..=self.prog.instrs.len() {
             if let Some(idx) = self.input_of_net[net as usize] {
                 return Some((idx, val));
@@ -811,21 +818,35 @@ fn frontier_objective(
             let (a, b, c) = (pins[0], pins[1], pins[2]);
             if diff(c) {
                 // Propagate c: need a&b = 0.
-                want(a, false).or_else(|| want(b, false)).or_else(|| want(c, false))
+                want(a, false)
+                    .or_else(|| want(b, false))
+                    .or_else(|| want(c, false))
             } else {
                 // Propagate through the AND pair: other pin 1, c = 0.
-                want(c, false)
-                    .or_else(|| if diff(a) { want(b, true) } else { want(a, true) })
+                want(c, false).or_else(|| {
+                    if diff(a) {
+                        want(b, true)
+                    } else {
+                        want(a, true)
+                    }
+                })
             }
         }
         CellKind::Oai21 => {
             let (a, b, c) = (pins[0], pins[1], pins[2]);
             if diff(c) {
                 // Propagate c: need a|b = 1.
-                want(a, true).or_else(|| want(b, true)).or_else(|| want(c, true))
+                want(a, true)
+                    .or_else(|| want(b, true))
+                    .or_else(|| want(c, true))
             } else {
-                want(c, true)
-                    .or_else(|| if diff(a) { want(b, false) } else { want(a, false) })
+                want(c, true).or_else(|| {
+                    if diff(a) {
+                        want(b, false)
+                    } else {
+                        want(a, false)
+                    }
+                })
             }
         }
         _ => None,

@@ -336,11 +336,7 @@ impl<'p> BitGateSim<'p> {
     /// # Errors
     ///
     /// Fails on unknown ports or width mismatches.
-    pub fn try_set_input(
-        &mut self,
-        name: &str,
-        value: Bv,
-    ) -> Result<(), scflow_sim_api::SimError> {
+    pub fn try_set_input(&mut self, name: &str, value: Bv) -> Result<(), scflow_sim_api::SimError> {
         use scflow_sim_api::SimError;
         let nl = &*self.prog.nl;
         let bits = nl
@@ -755,8 +751,7 @@ impl<'p> BitGateSim<'p> {
     /// the lane-0 violation stream and coverage observations — as a
     /// versioned, length-prefixed [`Snapshot`] blob.
     pub fn snapshot_state(&self) -> Snapshot {
-        let mut w =
-            SnapshotWriter::new("gate.bitpar", SNAP_VERSION, self.prog.content_hash());
+        let mut w = SnapshotWriter::new("gate.bitpar", SNAP_VERSION, self.prog.content_hash());
         w.u64(u64::from(self.lanes));
         w.u64s(&self.val);
         w.u64s(&self.unk);
@@ -834,12 +829,21 @@ impl<'p> BitGateSim<'p> {
             let has_cov = r.u64()? != 0;
             let cov_state = if has_cov { Some(r.u64s()?) } else { None };
             r.done().then_some((
-                lanes, val, unk, mems, fault_net, fault_val, stats, dirty, violations,
-                cov_state,
+                lanes, val, unk, mems, fault_net, fault_val, stats, dirty, violations, cov_state,
             ))
         })();
-        let Some((lanes, val, unk, mems, fault_net, fault_val, stats, dirty, violations, cov_state)) =
-            parsed
+        let Some((
+            lanes,
+            val,
+            unk,
+            mems,
+            fault_net,
+            fault_val,
+            stats,
+            dirty,
+            violations,
+            cov_state,
+        )) = parsed
         else {
             return false;
         };

@@ -566,10 +566,7 @@ impl std::fmt::Debug for GateProgram {
             .field("netlist", &self.nl.name())
             .field("instrs", &self.instrs.len())
             .field("flops", &self.flops.len())
-            .field(
-                "scan_instrs",
-                &self.scan.as_ref().map(|s| s.instrs.len()),
-            )
+            .field("scan_instrs", &self.scan.as_ref().map(|s| s.instrs.len()))
             .finish()
     }
 }
@@ -777,10 +774,7 @@ mod tests {
             }
         }
         // A guaranteed out-of-range write, then compare the whole streams.
-        for sim_inputs in [
-            ("wen", Bv::bit(true)),
-            ("waddr", Bv::new(3, 2)),
-        ] {
+        for sim_inputs in [("wen", Bv::bit(true)), ("waddr", Bv::new(3, 2))] {
             ev.set_input(sim_inputs.0, sim_inputs.1);
             bp.set_input(sim_inputs.0, sim_inputs.1);
         }

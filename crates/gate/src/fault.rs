@@ -260,7 +260,11 @@ pub struct TestSignature {
 ///
 /// Panics if the netlist has no scan chain, or the pattern's chain length
 /// differs from the netlist's flop count.
-pub fn apply_pattern(sim: &mut GateSim<'_>, nl: &GateNetlist, pattern: &ScanPattern) -> TestSignature {
+pub fn apply_pattern(
+    sim: &mut GateSim<'_>,
+    nl: &GateNetlist,
+    pattern: &ScanPattern,
+) -> TestSignature {
     assert!(
         nl.input_port("scan_en").is_some(),
         "netlist has no scan chain; run insert_scan_chain first"
@@ -1224,7 +1228,10 @@ mod tests {
         let mut s1 = GateSim::new(&nl, &lib);
         let mut s2 = GateSim::new(&nl, &lib);
         for p in &patterns {
-            assert_eq!(apply_pattern(&mut s1, &nl, p), apply_pattern(&mut s2, &nl, p));
+            assert_eq!(
+                apply_pattern(&mut s1, &nl, p),
+                apply_pattern(&mut s2, &nl, p)
+            );
         }
     }
 
@@ -1242,9 +1249,9 @@ mod tests {
         let mut clean = GateSim::new(&nl, &lib);
         let mut faulty = GateSim::new(&nl, &lib);
         faulty.inject_stuck_at(xor_idx, true);
-        let diff = patterns.iter().any(|p| {
-            apply_pattern(&mut clean, &nl, p) != apply_pattern(&mut faulty, &nl, p)
-        });
+        let diff = patterns
+            .iter()
+            .any(|p| apply_pattern(&mut clean, &nl, p) != apply_pattern(&mut faulty, &nl, p));
         assert!(diff, "a stuck feedback must be visible through scan");
     }
 
@@ -1314,8 +1321,7 @@ mod tests {
             let patterns = random_patterns(&nl, 16, seed);
             let serial = fault_coverage_serial(&nl, &lib, &faults, &patterns);
             for threads in [1, 4] {
-                let par =
-                    fault_coverage_with_threads(&nl, &lib, &faults, &patterns, threads);
+                let par = fault_coverage_with_threads(&nl, &lib, &faults, &patterns, threads);
                 assert_eq!(
                     par.detected_mask, serial.detected_mask,
                     "seed {seed}, {threads} threads"
@@ -1331,10 +1337,8 @@ mod tests {
         let lib = CellLibrary::generic_025u();
         let faults = all_fault_sites(&nl);
         let patterns = random_patterns(&nl, 70, 11);
-        let (r1, s1) =
-            fault_coverage_instrumented_with_threads(&nl, &lib, &faults, &patterns, 1);
-        let (r4, s4) =
-            fault_coverage_instrumented_with_threads(&nl, &lib, &faults, &patterns, 4);
+        let (r1, s1) = fault_coverage_instrumented_with_threads(&nl, &lib, &faults, &patterns, 1);
+        let (r4, s4) = fault_coverage_instrumented_with_threads(&nl, &lib, &faults, &patterns, 4);
         assert_eq!(s1.engine, "ppsfp");
         assert_eq!(s1.batches, 2);
         assert_eq!(s1.drop_curve.iter().sum::<usize>(), r1.detected);

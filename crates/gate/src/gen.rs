@@ -286,12 +286,9 @@ pub fn generate(p: &GenParams) -> GateNetlist {
     let name = format!("{}_w{}_n{}_s{}", p.kind.tag(), p.width, p.size, p.seed);
     let mut g = Gen {
         b: NetlistBuilder::new(name),
-        rng: Rng(
-            p.seed
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                ^ (u64::from(p.width) << 32)
-                ^ u64::from(p.size),
-        ),
+        rng: Rng(p.seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            ^ (u64::from(p.width) << 32)
+            ^ u64::from(p.size)),
         pool: Vec::new(),
         cones: Vec::new(),
         gates: 0,
@@ -374,11 +371,7 @@ fn mult_tree(g: &mut Gen, p: &GenParams) -> Vec<GNetId> {
         };
         acc = Some(match acc {
             None => prod,
-            Some(prev) => prev
-                .iter()
-                .zip(&prod)
-                .map(|(&u, &v)| g.xor(u, v))
-                .collect(),
+            Some(prev) => prev.iter().zip(&prod).map(|(&u, &v)| g.xor(u, v)).collect(),
         });
     }
     let out = acc.expect("size >= 1");
@@ -440,9 +433,8 @@ fn src_mac(g: &mut Gen, p: &GenParams) -> Vec<GNetId> {
     let rom_init: Vec<Bv> = (0..taps)
         .map(|_| Bv::new(g.rng.next() & scflow_hwtypes::mask(p.width), p.width))
         .collect();
-    let dout = g
-        .b
-        .memory("coef", p.width, rom_init, cnt.clone(), vec![], vec![], None);
+    let dout =
+        g.b.memory("coef", p.width, rom_init, cnt.clone(), vec![], vec![], None);
 
     // MAC: acc += (last tap ^ coefficient).
     let term: Vec<GNetId> = cur.iter().zip(&dout).map(|(&t, &d)| g.xor(t, d)).collect();
@@ -550,9 +542,17 @@ mod tests {
             let p = GenParams::new(kind, 6, 9, 42);
             let a = generate(&p);
             let b = generate(&p);
-            assert_eq!(a.stable_hash(), b.stable_hash(), "{kind:?} not deterministic");
+            assert_eq!(
+                a.stable_hash(),
+                b.stable_hash(),
+                "{kind:?} not deterministic"
+            );
             let other = generate(&GenParams::new(kind, 6, 9, 43));
-            assert_ne!(a.stable_hash(), other.stable_hash(), "{kind:?} ignores seed");
+            assert_ne!(
+                a.stable_hash(),
+                other.stable_hash(),
+                "{kind:?} ignores seed"
+            );
         }
     }
 

@@ -246,7 +246,11 @@ impl<'n> GateSim<'n> {
             .input_port(name)
             .unwrap_or_else(|| panic!("no input port `{name}`"))
             .to_vec();
-        assert_eq!(bits.len() as u32, value.width(), "width mismatch on `{name}`");
+        assert_eq!(
+            bits.len() as u32,
+            value.width(),
+            "width mismatch on `{name}`"
+        );
         for (i, net) in bits.iter().enumerate() {
             self.schedule(0, *net, Logic::from_bool(value.get(i as u32)));
         }

@@ -71,6 +71,6 @@ pub use gsim::{GateSim, GateSimStats, MemAccessViolation};
 pub use netlist::{GNetId, GateMemory, GateNetlist, Instance, NetlistBuilder};
 pub use passes::{optimize, NetlistStats, OptimizedNetlist, PassStats};
 // The unified engine interface every simulator implements.
-pub use scflow_sim_api::{EngineStats, SimError, Simulation};
 pub use scan::insert_scan_chain;
+pub use scflow_sim_api::{EngineStats, SimError, Simulation};
 pub use timing::{longest_path, TimingReport};

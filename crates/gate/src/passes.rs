@@ -45,8 +45,8 @@
 //! fault sites and change coverage.
 
 use crate::celllib::CellKind;
-use crate::error::GateError;
 use crate::compile::{levelize, Node};
+use crate::error::GateError;
 use crate::netlist::{GNetId, GateNetlist, Instance};
 use scflow_hwtypes::PassConfig;
 use std::collections::HashMap;
@@ -167,9 +167,14 @@ pub fn optimize(nl: &GateNetlist, cfg: &PassConfig) -> Result<OptimizedNetlist, 
         let inst = &nl.instances()[idx as usize];
         let ins: Vec<GNetId> = inst.inputs.iter().map(|&n| resolve(&repr, n)).collect();
         let folded = if cfg.const_sweep {
-            fold_cell(inst.kind, &ins, c0, c1, |n| konst(&repr, n), |n| {
-                kept_of_net.get(&n).map(|&k| (kept[k].1, kept[k].2.clone()))
-            })
+            fold_cell(
+                inst.kind,
+                &ins,
+                c0,
+                c1,
+                |n| konst(&repr, n),
+                |n| kept_of_net.get(&n).map(|&k| (kept[k].1, kept[k].2.clone())),
+            )
         } else {
             Folded::Keep(inst.kind, ins)
         };
@@ -321,11 +326,7 @@ pub fn optimize(nl: &GateNetlist, cfg: &PassConfig) -> Result<OptimizedNetlist, 
         for i in ins {
             if let Some(&d) = kept_of_net.get(i) {
                 l = l.max(level[d] + 1);
-            } else if nl
-                .memories()
-                .iter()
-                .any(|m| m.dout.contains(i))
-            {
+            } else if nl.memories().iter().any(|m| m.dout.contains(i)) {
                 l = l.max(1);
             }
         }
@@ -349,9 +350,7 @@ pub fn optimize(nl: &GateNetlist, cfg: &PassConfig) -> Result<OptimizedNetlist, 
         );
     }
 
-    let map = |n: GNetId| -> GNetId {
-        new_id[resolve(&repr, n).0].expect("live net has a new id")
-    };
+    let map = |n: GNetId| -> GNetId { new_id[resolve(&repr, n).0].expect("live net has a new id") };
 
     let mut instances: Vec<Instance> = Vec::new();
     let mut retained_instances: Vec<u32> = Vec::new();
@@ -553,9 +552,7 @@ fn fold_step(
         CellKind::Aoi21 => match (k(0), k(1), k(2)) {
             (_, _, Some(true)) => Folded::Alias(c0),
             (_, _, Some(false)) => Folded::Keep(CellKind::Nand2, vec![ins[0], ins[1]]),
-            (Some(false), _, _) | (_, Some(false), _) => {
-                Folded::Keep(CellKind::Inv, vec![ins[2]])
-            }
+            (Some(false), _, _) | (_, Some(false), _) => Folded::Keep(CellKind::Inv, vec![ins[2]]),
             (Some(true), _, _) => Folded::Keep(CellKind::Nor2, vec![ins[1], ins[2]]),
             (_, Some(true), _) => Folded::Keep(CellKind::Nor2, vec![ins[0], ins[2]]),
             _ => Folded::Keep(kind, ins.to_vec()),
@@ -564,9 +561,7 @@ fn fold_step(
         CellKind::Oai21 => match (k(0), k(1), k(2)) {
             (_, _, Some(false)) => Folded::Alias(c1),
             (_, _, Some(true)) => Folded::Keep(CellKind::Nor2, vec![ins[0], ins[1]]),
-            (Some(true), _, _) | (_, Some(true), _) => {
-                Folded::Keep(CellKind::Inv, vec![ins[2]])
-            }
+            (Some(true), _, _) | (_, Some(true), _) => Folded::Keep(CellKind::Inv, vec![ins[2]]),
             (Some(false), _, _) => Folded::Keep(CellKind::Nand2, vec![ins[1], ins[2]]),
             (_, Some(false), _) => Folded::Keep(CellKind::Nand2, vec![ins[0], ins[2]]),
             _ => Folded::Keep(kind, ins.to_vec()),

@@ -60,9 +60,7 @@ fn peek_gate(
 ) -> Result<Bv, SimError> {
     let bits = bits.ok_or_else(|| SimError::UnknownPort(name.to_string()))?;
     let lv: scflow_hwtypes::LogicVec = bits.iter().map(|&n| read(n)).collect();
-    Ok(lv
-        .to_bv()
-        .unwrap_or_else(|| Bv::zero(bits.len() as u32)))
+    Ok(lv.to_bv().unwrap_or_else(|| Bv::zero(bits.len() as u32)))
 }
 
 impl Simulation for GateSim<'_> {
@@ -249,10 +247,7 @@ impl Simulation for BitGateSim<'_> {
                     .map(|port| {
                         let lv = self.output_logic_lane(port, i as u32);
                         let width = lv.width() as u32;
-                        (
-                            port.clone(),
-                            lv.to_bv().unwrap_or_else(|| Bv::zero(width)),
-                        )
+                        (port.clone(), lv.to_bv().unwrap_or_else(|| Bv::zero(width)))
                     })
                     .collect()
             })

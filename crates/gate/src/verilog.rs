@@ -52,11 +52,7 @@ impl GateNetlist {
                 .enumerate()
                 .map(|(i, n)| format!(".i{}({})", i, net_name(*n)))
                 .chain(std::iter::once(format!(".o({})", net_name(inst.output))))
-                .chain(
-                    inst.kind
-                        .is_sequential()
-                        .then(|| ".clk(clk)".to_owned()),
-                )
+                .chain(inst.kind.is_sequential().then(|| ".clk(clk)".to_owned()))
                 .collect();
             let _ = writeln!(out, "  {} {} ({});", inst.kind, inst.name, pins.join(", "));
         }

@@ -13,13 +13,11 @@
 //!   verdicts must be reachable by at least one assignment.
 
 use scflow_gate::atpg::exhaustive_frame_detectable;
-use scflow_gate::fault::{
-    all_fault_sites, collapse_faults, fault_coverage, fault_coverage_serial,
-};
+use scflow_gate::fault::{all_fault_sites, collapse_faults, fault_coverage, fault_coverage_serial};
 use scflow_gate::gen::{generate, GenKind, GenParams, Redundancy};
 use scflow_gate::{
-    generate_tests, insert_scan_chain, AtpgOptions, CellKind, CellLibrary, FaultClass,
-    GateNetlist, NetlistBuilder,
+    generate_tests, insert_scan_chain, AtpgOptions, CellKind, CellLibrary, FaultClass, GateNetlist,
+    NetlistBuilder,
 };
 
 const FAMILIES: [GenKind; 4] = [
@@ -125,7 +123,10 @@ fn untestable_verdicts_match_exhaustive_enumeration() {
             ),
         }
     }
-    assert!(untestable_seen > 0, "redundant cone produced no Untestable verdict");
+    assert!(
+        untestable_seen > 0,
+        "redundant cone produced no Untestable verdict"
+    );
 }
 
 /// Same cross-check on small generated netlists, for every family whose
@@ -144,8 +145,7 @@ fn small_generated_frames_match_exhaustive_enumeration() {
             let collapsed = collapse_faults(&nl, &faults);
             let r = generate_tests(&nl, &lib, &collapsed.faults, &AtpgOptions::default());
             for (i, class) in r.classes.iter().enumerate() {
-                let Some(truth) = exhaustive_frame_detectable(&nl, collapsed.faults[i], 16)
-                else {
+                let Some(truth) = exhaustive_frame_detectable(&nl, collapsed.faults[i], 16) else {
                     continue;
                 };
                 checked += 1;
@@ -166,5 +166,8 @@ fn small_generated_frames_match_exhaustive_enumeration() {
             }
         }
     }
-    assert!(checked > 0, "no generated frame was small enough to enumerate");
+    assert!(
+        checked > 0,
+        "no generated frame was small enough to enumerate"
+    );
 }

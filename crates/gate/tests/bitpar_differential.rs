@@ -49,7 +49,15 @@ fn build_dut() -> GateNetlist {
     b.output_port("acc", &q_wires);
 
     let wdata: Vec<GNetId> = q_wires[..4].to_vec();
-    let dout = b.memory("buf", 4, vec![Bv::zero(4); 5], raddr, waddr, wdata, Some(wen));
+    let dout = b.memory(
+        "buf",
+        4,
+        vec![Bv::zero(4); 5],
+        raddr,
+        waddr,
+        wdata,
+        Some(wen),
+    );
     b.output_port("dout", &dout);
     b.build()
 }
@@ -269,25 +277,41 @@ fn snapshot_forks_resume_identically_across_lanes() {
         drive(&mut sim, &mut rng);
     }
     let straight: Vec<_> = (0..64)
-        .map(|l| (sim.output_logic_lane("acc", l), sim.output_logic_lane("dout", l)))
+        .map(|l| {
+            (
+                sim.output_logic_lane("acc", l),
+                sim.output_logic_lane("dout", l),
+            )
+        })
         .collect();
     let straight_viol = sim.violations().to_vec();
     let straight_stats = sim.stats();
     let straight_cov = sim.coverage().expect("coverage enabled").report();
 
-    assert!(sim.restore_state(&snap), "blob restores onto its own design");
+    assert!(
+        sim.restore_state(&snap),
+        "blob restores onto its own design"
+    );
     assert_eq!(sim.stats().cycles, 40, "restore rewinds the cycle count");
     let mut rng = tail_rng;
     for _ in 0..25 {
         drive(&mut sim, &mut rng);
     }
     let rerun: Vec<_> = (0..64)
-        .map(|l| (sim.output_logic_lane("acc", l), sim.output_logic_lane("dout", l)))
+        .map(|l| {
+            (
+                sim.output_logic_lane("acc", l),
+                sim.output_logic_lane("dout", l),
+            )
+        })
         .collect();
     assert_eq!(rerun, straight, "per-lane outputs identical after fork");
     assert_eq!(sim.violations(), straight_viol.as_slice());
     assert_eq!(sim.stats(), straight_stats);
-    assert_eq!(sim.coverage().expect("coverage enabled").report(), straight_cov);
+    assert_eq!(
+        sim.coverage().expect("coverage enabled").report(),
+        straight_cov
+    );
 
     // A blob from a different design (or lane width) must be refused
     // without touching state.

@@ -6,12 +6,7 @@ use scflow_gate::{CellKind, CellLibrary, GNetId, GateSim, NetlistBuilder};
 use scflow_hwtypes::Bv;
 
 /// Builds a full adder from basic gates; returns (sum, carry_out).
-fn full_adder(
-    b: &mut NetlistBuilder,
-    a: GNetId,
-    x: GNetId,
-    cin: GNetId,
-) -> (GNetId, GNetId) {
+fn full_adder(b: &mut NetlistBuilder, a: GNetId, x: GNetId, cin: GNetId) -> (GNetId, GNetId) {
     let axx = b.cell(CellKind::Xor2, &[a, x]);
     let sum = b.cell(CellKind::Xor2, &[axx, cin]);
     let t1 = b.cell(CellKind::And2, &[axx, cin]);

@@ -67,8 +67,10 @@ struct RunArtifacts {
 /// `SrcMac`'s over-wide address counter walks off the end of both of
 /// its checking memories on its own.
 fn drive(sim: &mut dyn Dut, width: u32, ports: &[&str]) -> RunArtifacts {
-    let mut traces: Vec<(String, Vec<LogicVec>)> =
-        ports.iter().map(|p| ((*p).to_owned(), Vec::new())).collect();
+    let mut traces: Vec<(String, Vec<LogicVec>)> = ports
+        .iter()
+        .map(|p| ((*p).to_owned(), Vec::new()))
+        .collect();
     let mut rng = Rng::new(0x0B7_D1FF);
     for _ in 0..200 {
         sim.set("a", Bv::new(rng.next_u64() & ((1 << width) - 1), width));
@@ -155,11 +157,19 @@ fn passes_are_invisible_on_every_engine_for_every_family() {
             let tag = |engine: &str| format!("{kind:?}/opt{level}/{engine}");
 
             let mut ev2 = GateSim::new(&opt.netlist, &lib);
-            assert_same(&tag("event"), &reference, &drive(&mut ev2, params.width, &ports));
+            assert_same(
+                &tag("event"),
+                &reference,
+                &drive(&mut ev2, params.width, &ports),
+            );
 
             let prog = GateProgram::compile(&opt.netlist).expect("compiles");
             let mut bp = prog.simulator();
-            assert_same(&tag("bitpar"), &reference, &drive(&mut bp, params.width, &ports));
+            assert_same(
+                &tag("bitpar"),
+                &reference,
+                &drive(&mut bp, params.width, &ports),
+            );
         }
     }
 }
@@ -213,8 +223,11 @@ fn net_map_accounts_for_every_net() {
         let opt = optimize(&nl, &PassConfig::for_level(2)).expect("passes run");
         assert_eq!(opt.net_map.len(), nl.net_count(), "{kind:?}: map is total");
         let n_new = opt.netlist.net_count();
-        let mut targets: Vec<usize> =
-            opt.net_map.iter().filter_map(|m| m.as_ref().map(|g| g.0)).collect();
+        let mut targets: Vec<usize> = opt
+            .net_map
+            .iter()
+            .filter_map(|m| m.as_ref().map(|g| g.0))
+            .collect();
         assert!(!targets.is_empty(), "{kind:?}: everything dropped");
         for &t in &targets {
             assert!(t < n_new, "{kind:?}: forwarded past the end");

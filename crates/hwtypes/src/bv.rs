@@ -105,7 +105,11 @@ impl Bv {
     /// Panics if `index >= width`.
     #[inline]
     pub fn get(&self, index: u32) -> bool {
-        assert!(index < self.width, "bit {index} out of width {}", self.width);
+        assert!(
+            index < self.width,
+            "bit {index} out of width {}",
+            self.width
+        );
         (self.bits >> index) & 1 == 1
     }
 
@@ -116,7 +120,11 @@ impl Bv {
     /// Panics if `hi < lo` or `hi >= width`.
     #[inline]
     pub fn slice(&self, hi: u32, lo: u32) -> Bv {
-        assert!(hi >= lo && hi < self.width, "bad slice [{hi}:{lo}] of {}", self.width);
+        assert!(
+            hi >= lo && hi < self.width,
+            "bad slice [{hi}:{lo}] of {}",
+            self.width
+        );
         Bv::new(self.bits >> lo, hi - lo + 1)
     }
 

@@ -38,7 +38,10 @@ impl SFixed {
     /// plus sign bit cannot be represented (i.e. `frac_bits > width - 1`).
     pub fn from_raw(raw: i64, width: u32, frac_bits: u32) -> Self {
         assert!((1..=64).contains(&width), "SFixed width must be 1..=64");
-        assert!(frac_bits < width, "frac_bits must leave room for the sign bit");
+        assert!(
+            frac_bits < width,
+            "frac_bits must leave room for the sign bit"
+        );
         SFixed {
             raw: sign_extend(raw as u64, width),
             width,

@@ -156,7 +156,9 @@ impl LogicVec {
 
     /// Creates a vector from a two-valued bit vector.
     pub fn from_bv(value: Bv) -> Self {
-        let bits = (0..value.width()).map(|i| Logic::from_bool(value.get(i))).collect();
+        let bits = (0..value.width())
+            .map(|i| Logic::from_bool(value.get(i)))
+            .collect();
         LogicVec { bits }
     }
 

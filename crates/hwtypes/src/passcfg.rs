@@ -132,6 +132,9 @@ mod tests {
     #[test]
     fn display() {
         assert_eq!(PassConfig::off().to_string(), "off");
-        assert_eq!(PassConfig::for_level(2).to_string(), "const+cse+dce+relayout");
+        assert_eq!(
+            PassConfig::for_level(2).to_string(),
+            "const+cse+dce+relayout"
+        );
     }
 }

@@ -80,12 +80,16 @@ fn bv_signed_and_unsigned_mul_agree_on_low_bits() {
 
 #[test]
 fn bv_signed_view_roundtrips() {
-    check("signed view roundtrip", &(any_u64(), widths()), |&(a, w)| {
-        let x = Bv::new(a, w);
-        prop_assert_eq!(Bv::from_i64(x.as_i64(), w), x);
-        prop_assert_eq!(sign_extend(x.as_u64(), w), x.as_i64());
-        Ok(())
-    });
+    check(
+        "signed view roundtrip",
+        &(any_u64(), widths()),
+        |&(a, w)| {
+            let x = Bv::new(a, w);
+            prop_assert_eq!(Bv::from_i64(x.as_i64(), w), x);
+            prop_assert_eq!(sign_extend(x.as_u64(), w), x.as_i64());
+            Ok(())
+        },
+    );
 }
 
 #[test]
@@ -111,7 +115,11 @@ fn bv_shifts_match_u64_shifts() {
         &(any_u64(), widths(), ints(0u32..=79)),
         |&(a, w, s)| {
             let x = Bv::new(a, w);
-            let logical = if s >= 64 { 0 } else { (x.as_u64() << s) & mask(w) };
+            let logical = if s >= 64 {
+                0
+            } else {
+                (x.as_u64() << s) & mask(w)
+            };
             prop_assert_eq!(x.shl(s).as_u64(), logical);
             let right = if s >= 64 { 0 } else { x.as_u64() >> s };
             prop_assert_eq!(x.shr(s).as_u64(), right);
@@ -176,16 +184,20 @@ fn sint_wraps_like_bv() {
 
 #[test]
 fn sint_saturating_add_is_clamped_exact_sum() {
-    check("saturating add clamps", &(any_i64(), any_i64()), |&(a, b)| {
-        let (x, y) = (SInt::<16>::new(a), SInt::<16>::new(b));
-        let exact = x.value() + y.value();
-        let clamped = exact.clamp(
-            SInt::<16>::min_value().value(),
-            SInt::<16>::max_value().value(),
-        );
-        prop_assert_eq!(x.saturating_add(y).value(), clamped);
-        Ok(())
-    });
+    check(
+        "saturating add clamps",
+        &(any_i64(), any_i64()),
+        |&(a, b)| {
+            let (x, y) = (SInt::<16>::new(a), SInt::<16>::new(b));
+            let exact = x.value() + y.value();
+            let clamped = exact.clamp(
+                SInt::<16>::min_value().value(),
+                SInt::<16>::max_value().value(),
+            );
+            prop_assert_eq!(x.saturating_add(y).value(), clamped);
+            Ok(())
+        },
+    );
 }
 
 #[test]

@@ -114,7 +114,11 @@ impl<T: Clone + PartialEq + Debug + 'static> Signal<T> {
     /// Attaches this signal to a [`Trace`]; every committed change is
     /// recorded with the current simulated time.
     pub fn attach_trace(&self, trace: &Trace) {
-        trace.record(SimTime::ZERO, &self.inner.name, format!("{:?}", self.read()));
+        trace.record(
+            SimTime::ZERO,
+            &self.inner.name,
+            format!("{:?}", self.read()),
+        );
         *self.inner.trace.borrow_mut() = Some(trace.clone());
     }
 }

@@ -72,11 +72,7 @@ fn fifo_preserves_order_and_count() {
 /// for arbitrary (even-picosecond) periods and horizons.
 #[test]
 fn clock_edge_count_is_exact() {
-    let strategy = (
-        ints(1u64..=4999),
-        ints(1u64..=49),
-        ints(0u64..=1999),
-    );
+    let strategy = (ints(1u64..=4999), ints(1u64..=49), ints(0u64..=1999));
     check_with(
         &cfg(64),
         "clock edge count is exact",

@@ -38,7 +38,8 @@ fn traced_run(seed: u64) -> (String, Vec<i16>) {
         }
     });
     k.spawn("consumer", {
-        let (k2, fifo, out_sig, received) = (k.clone(), fifo.clone(), out_sig.clone(), received.clone());
+        let (k2, fifo, out_sig, received) =
+            (k.clone(), fifo.clone(), out_sig.clone(), received.clone());
         async move {
             for i in 0..n {
                 if cons_delays[i] > 0 {
@@ -86,7 +87,11 @@ fn direct_trace_records_are_ordered() {
     let build = || {
         let t = Trace::new();
         for i in 0..20u64 {
-            t.record(SimTime::from_ns(i), &format!("sig{}", i % 3), format!("{i}"));
+            t.record(
+                SimTime::from_ns(i),
+                &format!("sig{}", i % 3),
+                format!("{i}"),
+            );
         }
         t.to_vcd()
     };

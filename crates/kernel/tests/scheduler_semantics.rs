@@ -323,7 +323,11 @@ fn clock_generates_edges_and_counts_cycles() {
     let levels = levels.borrow();
     assert_eq!(
         levels.as_slice(),
-        ["pos@20ns lvl=true", "pos@60ns lvl=true", "pos@100ns lvl=true"]
+        [
+            "pos@20ns lvl=true",
+            "pos@60ns lvl=true",
+            "pos@100ns lvl=true"
+        ]
     );
 }
 

@@ -120,15 +120,15 @@ impl ModuleBuilder {
         match self.regs.iter_mut().find(|(q, _, _)| *q == reg) {
             Some(slot) => {
                 if slot.1.is_some() {
-                    self.errors.push(RtlError::MultipleDrivers(
-                        self.nets[reg.0].name.clone(),
-                    ));
+                    self.errors
+                        .push(RtlError::MultipleDrivers(self.nets[reg.0].name.clone()));
                 }
                 slot.1 = Some(next);
             }
-            None => self
-                .errors
-                .push(RtlError::UnknownNet(format!("set_next on non-register #{}", reg.0))),
+            None => self.errors.push(RtlError::UnknownNet(format!(
+                "set_next on non-register #{}",
+                reg.0
+            ))),
         }
     }
 
@@ -161,11 +161,9 @@ impl ModuleBuilder {
 
     /// Adds a synchronous write port to a memory.
     pub fn mem_write(&mut self, mem: MemoryId, addr: Expr, data: Expr, enable: Expr) {
-        self.mems[mem.0].write_ports.push(WritePort {
-            addr,
-            data,
-            enable,
-        });
+        self.mems[mem.0]
+            .write_ports
+            .push(WritePort { addr, data, enable });
     }
 
     /// The width of a previously declared net.
@@ -313,9 +311,7 @@ impl ModuleBuilder {
             let stuck = (0..n_assigns)
                 .find(|&i| in_degree[i] > 0)
                 .expect("cycle exists");
-            return Err(RtlError::CombCycle(
-                nets[assigns[stuck].0 .0].name.clone(),
-            ));
+            return Err(RtlError::CombCycle(nets[assigns[stuck].0 .0].name.clone()));
         }
 
         let (comb_targets, comb_exprs): (Vec<_>, Vec<_>) = assigns.into_iter().unzip();

@@ -289,11 +289,7 @@ impl Module {
             registers: self.regs.len(),
             register_bits: self.regs.iter().map(|r| self.net_width(r.q) as usize).sum(),
             memories: self.mems.len(),
-            memory_bits: self
-                .mems
-                .iter()
-                .map(|m| m.words() * m.width as usize)
-                .sum(),
+            memory_bits: self.mems.iter().map(|m| m.words() * m.width as usize).sum(),
             ops,
         }
     }
@@ -359,11 +355,7 @@ pub(crate) fn check_expr(
                 return fail(format!("mux condition is {} bits", c.width()));
             }
             if t.width() != e.width() {
-                return fail(format!(
-                    "mux arms {} vs {} bits",
-                    t.width(),
-                    e.width()
-                ));
+                return fail(format!("mux arms {} vs {} bits", t.width(), e.width()));
             }
             Ok(())
         }

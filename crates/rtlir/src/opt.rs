@@ -217,12 +217,8 @@ fn eval_inst(inst: &Inst, get: &impl Fn(u32) -> Option<u64>) -> Option<u64> {
         Inst::Ne { a, b, .. } => u64::from(get(a)? != get(b)?),
         Inst::Ult { a, b, .. } => u64::from(get(a)? < get(b)?),
         Inst::Ule { a, b, .. } => u64::from(get(a)? <= get(b)?),
-        Inst::Slt { a, b, w, .. } => {
-            u64::from(sign_extend(get(a)?, w) < sign_extend(get(b)?, w))
-        }
-        Inst::Sle { a, b, w, .. } => {
-            u64::from(sign_extend(get(a)?, w) <= sign_extend(get(b)?, w))
-        }
+        Inst::Slt { a, b, w, .. } => u64::from(sign_extend(get(a)?, w) < sign_extend(get(b)?, w)),
+        Inst::Sle { a, b, w, .. } => u64::from(sign_extend(get(a)?, w) <= sign_extend(get(b)?, w)),
         // A known condition folds to the taken arm even when the other
         // arm is unknown — the executor reads but never uses it.
         Inst::Mux { c, t, e, .. } => {
@@ -616,7 +612,11 @@ pub(crate) fn optimize_program(p: &mut CompiledProgram, cfg: &PassConfig) {
     simplify_block(&mut reg_block, &reg_live, &mut ctx, cfg);
     let mut writes = p.writes.clone();
     for (wi, wb) in write_blocks.iter_mut().enumerate() {
-        let outs = [writes[wi].en_slot, writes[wi].addr_slot, writes[wi].data_slot];
+        let outs = [
+            writes[wi].en_slot,
+            writes[wi].addr_slot,
+            writes[wi].data_slot,
+        ];
         for (b, slot) in wb.iter_mut().zip(outs) {
             simplify_block(b, &[slot], &mut ctx, cfg);
         }

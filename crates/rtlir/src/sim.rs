@@ -52,11 +52,7 @@ impl<'m> RtlSim<'m> {
     /// Creates a simulator with registers at their `init` values, inputs at
     /// zero and memories at their initial contents.
     pub fn new(module: &'m Module) -> Self {
-        let mut nets: Vec<Bv> = module
-            .nets
-            .iter()
-            .map(|n| Bv::zero(n.width))
-            .collect();
+        let mut nets: Vec<Bv> = module.nets.iter().map(|n| Bv::zero(n.width)).collect();
         for r in &module.regs {
             nets[r.q.0] = r.init;
         }
@@ -102,11 +98,7 @@ impl<'m> RtlSim<'m> {
     /// # Errors
     ///
     /// Fails on unknown ports, non-inputs, or width mismatches.
-    pub fn try_set_input(
-        &mut self,
-        name: &str,
-        value: Bv,
-    ) -> Result<(), scflow_sim_api::SimError> {
+    pub fn try_set_input(&mut self, name: &str, value: Bv) -> Result<(), scflow_sim_api::SimError> {
         use scflow_sim_api::SimError;
         let port = self
             .module
@@ -266,12 +258,8 @@ impl<'m> RtlSim<'m> {
             self.coverage = None;
             return;
         }
-        let mut cov = ToggleCoverage::new(
-            self.module
-                .nets
-                .iter()
-                .map(|n| (n.name.clone(), n.width)),
-        );
+        let mut cov =
+            ToggleCoverage::new(self.module.nets.iter().map(|n| (n.name.clone(), n.width)));
         let nets = &self.nets;
         cov.sample_with(|i| (nets[i].as_u64(), u64::MAX));
         self.coverage = Some(Box::new(cov));

@@ -160,11 +160,9 @@ impl Module {
             ),
             Expr::Zext(a, w) => format!("{}'(unsigned'({}))", w, self.expr_to_verilog(a)),
             Expr::Sext(a, w) => format!("{}'(signed'({}))", w, self.expr_to_verilog(a)),
-            Expr::ReadMem(mid, addr, _) => format!(
-                "{}[{}]",
-                self.mems[mid.0].name,
-                self.expr_to_verilog(addr)
-            ),
+            Expr::ReadMem(mid, addr, _) => {
+                format!("{}[{}]", self.mems[mid.0].name, self.expr_to_verilog(addr))
+            }
         }
     }
 }

@@ -106,9 +106,7 @@ fn lockstep(
     let mut cmp = program.simulator();
     int.check_addresses = check;
     cmp.check_addresses = check;
-    let nets: Vec<_> = (0..module.nets().len())
-        .map(scflow_rtl::NetId)
-        .collect();
+    let nets: Vec<_> = (0..module.nets().len()).map(scflow_rtl::NetId).collect();
     let compare = |int: &RtlSim, cmp: &scflow_rtl::CompiledSim, when: &str| {
         for &n in &nets {
             assert_eq!(

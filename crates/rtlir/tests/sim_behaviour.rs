@@ -57,8 +57,7 @@ fn ring_buffer() -> scflow_rtl::Module {
     b.mem_write(mem, b.n(wptr), b.n(din), b.n(push));
     b.set_next(
         wptr,
-        b.n(push)
-            .mux(b.n(wptr).add(Expr::lit(1, 2)), b.n(wptr)),
+        b.n(push).mux(b.n(wptr).add(Expr::lit(1, 2)), b.n(wptr)),
     );
     b.output("dout", Expr::read_mem(mem, b.n(raddr), 8));
     b.output("wp", b.n(wptr));
@@ -133,10 +132,7 @@ fn signed_datapath() {
     let mut b = ModuleBuilder::new("sdp");
     let a = b.input("a", 8);
     let c = b.input("b", 8);
-    let prod = b.comb(
-        "prod",
-        b.n(a).sext(16).mul_signed(b.n(c).sext(16)),
-    );
+    let prod = b.comb("prod", b.n(a).sext(16).mul_signed(b.n(c).sext(16)));
     b.output("y", b.n(prod).sar(Expr::lit(2, 2)));
     let m = b.build().expect("valid");
     let mut sim = RtlSim::new(&m);

@@ -300,7 +300,9 @@ mod tests {
         }
         // Key 1 is pinned by `pinned`; 2 and 3 were evictable.
         assert!(cache.stats().evictions >= 2);
-        let (again, hit) = cache.get_or_compile(1, || panic!("evicted the pinned entry")).unwrap();
+        let (again, hit) = cache
+            .get_or_compile(1, || panic!("evicted the pinned entry"))
+            .unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&pinned, &again));
         // Evicted keys recompile.
@@ -324,9 +326,7 @@ mod tests {
     #[test]
     fn panicking_build_is_an_error_not_a_hang() {
         let cache = CompileCache::new(2);
-        let err = cache
-            .get_or_compile(7, || panic!("boom"))
-            .unwrap_err();
+        let err = cache.get_or_compile(7, || panic!("boom")).unwrap_err();
         assert!(err.contains("boom"));
         assert_eq!(cache.len(), 0);
     }

@@ -147,12 +147,7 @@ fn render_str(s: &str, out: &mut String) {
 
 /// Builds an object from `(key, value)` pairs in order.
 pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), v))
-            .collect(),
-    )
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
 /// Deepest nesting of arrays and objects that [`parse`] accepts. The
@@ -205,10 +200,7 @@ impl Parser<'_> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(format!(
-                "expected `{}` at offset {}",
-                b as char, self.pos
-            ))
+            Err(format!("expected `{}` at offset {}", b as char, self.pos))
         }
     }
 

@@ -14,7 +14,10 @@ fn open_reply(server: &Server, design: &str, engine: &str) -> String {
 
 fn session_of(reply: &str) -> String {
     let tag = r#""session":""#;
-    let start = reply.find(tag).unwrap_or_else(|| panic!("no session in {reply}")) + tag.len();
+    let start = reply
+        .find(tag)
+        .unwrap_or_else(|| panic!("no session in {reply}"))
+        + tag.len();
     let end = reply[start..].find('"').unwrap() + start;
     reply[start..end].to_owned()
 }
@@ -51,9 +54,7 @@ fn transcript(server: &Server, sid: &str) -> Vec<String> {
             r#"{{"id":1,"op":"peek","session":"{sid}","port":"dbg_state"}}"#
         )));
     }
-    out.push(server.handle_line(&format!(
-        r#"{{"id":1,"op":"coverage","session":"{sid}"}}"#
-    )));
+    out.push(server.handle_line(&format!(r#"{{"id":1,"op":"coverage","session":"{sid}"}}"#)));
     out
 }
 
@@ -211,7 +212,9 @@ fn pass_levels_do_not_share_artifacts_or_snapshots() {
     }
 
     // An optimized blob is refused by the unoptimized session…
-    let snap = server.handle_line(&format!(r#"{{"id":1,"op":"snapshot","session":"{sid_opt}"}}"#));
+    let snap = server.handle_line(&format!(
+        r#"{{"id":1,"op":"snapshot","session":"{sid_opt}"}}"#
+    ));
     assert!(snap.contains(r#""ok":true"#), "{snap}");
     let tag = r#""snapshot":""#;
     let ss = snap.find(tag).unwrap() + tag.len();

@@ -55,12 +55,8 @@ fn workload(server: &Server, sid: &str) -> Vec<String> {
     out.push(server.handle_line(&format!(
         r#"{{"id":1,"op":"peek","session":"{sid}","port":"out_sample"}}"#
     )));
-    out.push(server.handle_line(&format!(
-        r#"{{"id":1,"op":"coverage","session":"{sid}"}}"#
-    )));
-    out.push(server.handle_line(&format!(
-        r#"{{"id":1,"op":"metrics","session":"{sid}"}}"#
-    )));
+    out.push(server.handle_line(&format!(r#"{{"id":1,"op":"coverage","session":"{sid}"}}"#)));
+    out.push(server.handle_line(&format!(r#"{{"id":1,"op":"metrics","session":"{sid}"}}"#)));
     for r in &out {
         assert!(r.contains(r#""ok":true"#), "{r}");
     }
@@ -163,9 +159,7 @@ fn retired_gate_engine_names_alias_gate_bitpar() {
     let transcript = |engine: &str| {
         let sid = open(&server, "rtl_opt", engine);
         let mut log = workload(&server, &sid);
-        log.push(server.handle_line(&format!(
-            r#"{{"id":1,"op":"snapshot","session":"{sid}"}}"#
-        )));
+        log.push(server.handle_line(&format!(r#"{{"id":1,"op":"snapshot","session":"{sid}"}}"#)));
         log
     };
     let reference = transcript("gate.bitpar");

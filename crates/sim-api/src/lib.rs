@@ -392,7 +392,10 @@ impl fmt::Display for BatchError {
                 write!(f, "{items} items exceed {lanes} lanes")
             }
             BatchError::LanesMismatch => {
-                write!(f, "lanes mode requires every item to run the same cycle count")
+                write!(
+                    f,
+                    "lanes mode requires every item to run the same cycle count"
+                )
             }
         }
     }
@@ -925,7 +928,11 @@ mod tests {
             "lanes mode needs a lane-parallel session (gate.bitpar or rtl.bitpar)"
         );
         assert_eq!(
-            BatchError::LanesOverflow { items: 65, lanes: 64 }.to_string(),
+            BatchError::LanesOverflow {
+                items: 65,
+                lanes: 64
+            }
+            .to_string(),
             "65 items exceed 64 lanes"
         );
         assert_eq!(

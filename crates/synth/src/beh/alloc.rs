@@ -30,11 +30,7 @@ impl Allocation {
     }
 }
 
-pub(super) fn allocate(
-    program: &BehProgram,
-    schedule: &Schedule,
-    opts: &BehOptions,
-) -> Allocation {
+pub(super) fn allocate(program: &BehProgram, schedule: &Schedule, opts: &BehOptions) -> Allocation {
     let nv = program.var_count();
     if !opts.merge_registers {
         // Conservative: one register per variable (the paper's
@@ -139,16 +135,17 @@ pub(super) fn allocate(
     for v in 0..nv {
         let w = program.var_width(VarId(v));
         let slot = (0..reg_width.len()).find(|&r| {
-            reg_width[r] == w
-                && reg_members[r]
-                    .iter()
-                    .all(|&m| !interferes[v * nv + m])
+            reg_width[r] == w && reg_members[r].iter().all(|&m| !interferes[v * nv + m])
         });
         match slot {
             Some(r) => {
                 reg_of[v] = r;
                 reg_members[r].push(v);
-                reg_name[r] = format!("{}_sh{}", reg_name[r].split("_sh").next().expect("name"), reg_members[r].len());
+                reg_name[r] = format!(
+                    "{}_sh{}",
+                    reg_name[r].split("_sh").next().expect("name"),
+                    reg_members[r].len()
+                );
             }
             None => {
                 reg_of[v] = reg_width.len();

@@ -103,14 +103,9 @@ impl<'a> Emitter<'a> {
             }
             match &st.io {
                 Some(Io::Read(v, port)) => {
-                    let data = Expr::net(
-                        self.in_data[&port.0],
-                        self.p.ports[port.0].width,
-                    );
+                    let data = Expr::net(self.in_data[&port.0], self.p.ports[port.0].width);
                     let gate = match self.opts.mode {
-                        SchedulingMode::Superstate => {
-                            Some(Expr::net(self.in_valid[&port.0], 1))
-                        }
+                        SchedulingMode::Superstate => Some(Expr::net(self.in_valid[&port.0], 1)),
                         SchedulingMode::FixedCycle => None,
                     };
                     reg_actions[self.alloc.reg_of[v.0]].push((si, data, gate));
@@ -128,12 +123,10 @@ impl<'a> Emitter<'a> {
                     let target = self.state_lit(*t);
                     match (&st.io, self.opts.mode) {
                         (Some(Io::Read(_, port)), SchedulingMode::Superstate) => {
-                            Expr::net(self.in_valid[&port.0], 1)
-                                .mux(target, self.state_lit(si))
+                            Expr::net(self.in_valid[&port.0], 1).mux(target, self.state_lit(si))
                         }
                         (Some(Io::Write(port, _)), SchedulingMode::Superstate) => {
-                            Expr::net(self.out_ready[&port.0], 1)
-                                .mux(target, self.state_lit(si))
+                            Expr::net(self.out_ready[&port.0], 1).mux(target, self.state_lit(si))
                         }
                         _ => target,
                     }
@@ -179,10 +172,8 @@ impl<'a> Emitter<'a> {
             );
             let an = self.b.comb("shared_mul_a", a);
             let bn = self.b.comb("shared_mul_b", b_expr);
-            self.b.drive(
-                wire,
-                Expr::net(an, wmax).mul(Expr::net(bn, wmax)),
-            );
+            self.b
+                .drive(wire, Expr::net(an, wmax).mul(Expr::net(bn, wmax)));
         }
 
         // Drive each memory's single read site.
@@ -194,10 +185,8 @@ impl<'a> Emitter<'a> {
                 continue;
             }
             let aw = sites.iter().map(|(_, a)| a.width()).max().expect("sites");
-            let sites: Vec<(usize, Expr)> = sites
-                .into_iter()
-                .map(|(s, a)| (s, a.zext(aw)))
-                .collect();
+            let sites: Vec<(usize, Expr)> =
+                sites.into_iter().map(|(s, a)| (s, a.zext(aw))).collect();
             let addr = self.sel_chain(&sites, Expr::lit(0, aw));
             let an = self.b.comb(format!("{}_raddr", mem.name), addr);
             self.b.drive(
@@ -213,15 +202,17 @@ impl<'a> Emitter<'a> {
                 continue;
             }
             let wen = self.or_states(&sites.iter().map(|(s, _, _)| *s).collect::<Vec<_>>());
-            let aw = sites.iter().map(|(_, a, _)| a.width()).max().expect("sites");
+            let aw = sites
+                .iter()
+                .map(|(_, a, _)| a.width())
+                .max()
+                .expect("sites");
             let addr_sites: Vec<(usize, Expr)> = sites
                 .iter()
                 .map(|(s, a, _)| (*s, a.clone().zext(aw)))
                 .collect();
-            let data_sites: Vec<(usize, Expr)> = sites
-                .iter()
-                .map(|(s, _, d)| (*s, d.clone()))
-                .collect();
+            let data_sites: Vec<(usize, Expr)> =
+                sites.iter().map(|(s, _, d)| (*s, d.clone())).collect();
             let addr = self.sel_chain(&addr_sites, Expr::lit(0, aw));
             let data = self.sel_chain(&data_sites, Expr::lit(0, mem.width));
             self.b.mem_write(self.mems_rtl[mi], addr, data, wen);
@@ -256,8 +247,7 @@ impl<'a> Emitter<'a> {
                     let sites = out_sites.remove(&pi).unwrap_or_default();
                     let data = self.sel_chain(&sites, Expr::lit(0, port.width));
                     self.b.output(&port.name, data);
-                    let flag =
-                        self.or_states(&sites.iter().map(|(s, _)| *s).collect::<Vec<_>>());
+                    let flag = self.or_states(&sites.iter().map(|(s, _)| *s).collect::<Vec<_>>());
                     match self.opts.mode {
                         SchedulingMode::Superstate => {
                             self.b.output(format!("{}_valid", port.name), flag);
@@ -342,9 +332,7 @@ impl<'a> Emitter<'a> {
         for mem in &self.p.mems {
             let m = self.b.memory(mem.name.clone(), mem.width, mem.init.clone());
             self.mems_rtl.push(m);
-            let w = self
-                .b
-                .wire(format!("{}_rdata", mem.name), mem.width);
+            let w = self.b.wire(format!("{}_rdata", mem.name), mem.width);
             self.mem_rdata.push(w);
         }
     }
@@ -391,10 +379,11 @@ impl<'a> Emitter<'a> {
     fn or_states(&self, states: &[usize]) -> Expr {
         match states.split_first() {
             None => Expr::lit(0, 1),
-            Some((&first, rest)) => rest.iter().fold(
-                Expr::net(self.st_eq[first], 1),
-                |acc, &s| acc.or(Expr::net(self.st_eq[s], 1)),
-            ),
+            Some((&first, rest)) => rest
+                .iter()
+                .fold(Expr::net(self.st_eq[first], 1), |acc, &s| {
+                    acc.or(Expr::net(self.st_eq[s], 1))
+                }),
         }
     }
 
@@ -420,9 +409,7 @@ impl<'a> Emitter<'a> {
                     Expr::net(wire, wmax).slice(w - 1, 0)
                 }
             }
-            BExpr::Bin(op, a, b) => {
-                Expr::Binary(*op, Box::new(self.tx(a)), Box::new(self.tx(b)))
-            }
+            BExpr::Bin(op, a, b) => Expr::Binary(*op, Box::new(self.tx(a)), Box::new(self.tx(b))),
             BExpr::Mux(c, t, alt) => {
                 let tc = self.tx(c);
                 let tt = self.tx(t);
@@ -446,10 +433,7 @@ impl<'a> Emitter<'a> {
     }
 }
 
-fn check_unique_states(
-    states: impl Iterator<Item = usize>,
-    what: &str,
-) -> Result<(), SynthError> {
+fn check_unique_states(states: impl Iterator<Item = usize>, what: &str) -> Result<(), SynthError> {
     let mut seen = std::collections::HashSet::new();
     for s in states {
         if !seen.insert(s) {

@@ -235,9 +235,7 @@ impl BExpr {
             ),
             BExpr::Zext(a, w) => BExpr::Zext(Box::new(a.substitute(lookup)), *w),
             BExpr::Sext(a, w) => BExpr::Sext(Box::new(a.substitute(lookup)), *w),
-            BExpr::MemRead(m, a, w) => {
-                BExpr::MemRead(*m, Box::new(a.substitute(lookup)), *w)
-            }
+            BExpr::MemRead(m, a, w) => BExpr::MemRead(*m, Box::new(a.substitute(lookup)), *w),
         }
     }
 

@@ -87,9 +87,7 @@ impl Schedule {
                 Some(Io::Read(v, p)) => {
                     parts.push(format!("read {} -> {}", program.ports[p.0].name, var(*v)))
                 }
-                Some(Io::Write(p, _)) => {
-                    parts.push(format!("write {}", program.ports[p.0].name))
-                }
+                Some(Io::Write(p, _)) => parts.push(format!("write {}", program.ports[p.0].name)),
                 None => {}
             }
             let next = match &st.next {

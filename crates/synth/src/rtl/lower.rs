@@ -157,8 +157,10 @@ impl<'m> Lowerer<'m> {
                         .collect(),
                     UnaryOp::Neg => {
                         // ~a + 1
-                        let inv: Vec<GNetId> =
-                            a.iter().map(|&b| self.b.cell(CellKind::Inv, &[b])).collect();
+                        let inv: Vec<GNetId> = a
+                            .iter()
+                            .map(|&b| self.b.cell(CellKind::Inv, &[b]))
+                            .collect();
                         let one = self.const_bits(1, inv.len() as u32);
                         self.ripple_add(&inv, &one, self.b.const0()).0
                     }
@@ -173,8 +175,10 @@ impl<'m> Lowerer<'m> {
                 match op {
                     BinOp::Add => self.ripple_add(&av, &bv, self.b.const0()).0,
                     BinOp::Sub => {
-                        let nb: Vec<GNetId> =
-                            bv.iter().map(|&x| self.b.cell(CellKind::Inv, &[x])).collect();
+                        let nb: Vec<GNetId> = bv
+                            .iter()
+                            .map(|&x| self.b.cell(CellKind::Inv, &[x]))
+                            .collect();
                         self.ripple_add(&av, &nb, self.b.const1()).0
                     }
                     // Low-bits of signed and unsigned products are equal at
@@ -310,7 +314,10 @@ impl<'m> Lowerer<'m> {
         assert_eq!(a.len(), b.len());
         let w = a.len();
         // acc starts as the first partial product.
-        let mut acc: Vec<GNetId> = a.iter().map(|&x| self.b.cell(CellKind::And2, &[x, b[0]])).collect();
+        let mut acc: Vec<GNetId> = a
+            .iter()
+            .map(|&x| self.b.cell(CellKind::And2, &[x, b[0]]))
+            .collect();
         for (i, &b_bit) in b.iter().enumerate().skip(1) {
             // partial product row i: (a << i) & b[i], truncated to w bits
             let mut pp: Vec<GNetId> = vec![self.b.const0(); i];
@@ -324,14 +331,20 @@ impl<'m> Lowerer<'m> {
 
     /// Unsigned a < b via the borrow of a - b.
     fn unsigned_lt(&mut self, a: &[GNetId], b: &[GNetId]) -> GNetId {
-        let nb: Vec<GNetId> = b.iter().map(|&x| self.b.cell(CellKind::Inv, &[x])).collect();
+        let nb: Vec<GNetId> = b
+            .iter()
+            .map(|&x| self.b.cell(CellKind::Inv, &[x]))
+            .collect();
         let (_, cout) = self.ripple_add(a, &nb, self.b.const1());
         self.b.cell(CellKind::Inv, &[cout])
     }
 
     /// Signed a < b: sign of (a - b) corrected for overflow.
     fn signed_lt(&mut self, a: &[GNetId], b: &[GNetId]) -> GNetId {
-        let nb: Vec<GNetId> = b.iter().map(|&x| self.b.cell(CellKind::Inv, &[x])).collect();
+        let nb: Vec<GNetId> = b
+            .iter()
+            .map(|&x| self.b.cell(CellKind::Inv, &[x]))
+            .collect();
         let (diff, _) = self.ripple_add(a, &nb, self.b.const1());
         let a_msb = *a.last().expect("non-empty");
         let b_msb = *b.last().expect("non-empty");

@@ -6,7 +6,9 @@ mod opt;
 
 pub use opt::optimize;
 
-use scflow_gate::{insert_scan_chain, longest_path, AreaReport, CellLibrary, GateNetlist, TimingReport};
+use scflow_gate::{
+    insert_scan_chain, longest_path, AreaReport, CellLibrary, GateNetlist, TimingReport,
+};
 use scflow_rtl::Module;
 use std::error::Error;
 use std::fmt;

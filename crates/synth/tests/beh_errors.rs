@@ -51,7 +51,11 @@ fn double_mul_allowed_without_sharing() {
 fn double_read_of_one_memory_in_one_statement_rejected() {
     let mut p = ProgramBuilder::new("tworead");
     let o = p.output("o", 8);
-    let rom = p.memory("rom", 8, (0..4u64).map(|v| scflow_hwtypes::Bv::new(v, 8)).collect());
+    let rom = p.memory(
+        "rom",
+        8,
+        (0..4u64).map(|v| scflow_hwtypes::Bv::new(v, 8)).collect(),
+    );
     let x = p.var("x", 8);
     let e = p
         .mem_read(rom, p.lit(0, 2))
@@ -95,8 +99,10 @@ fn schedule_report_names_variables_and_io() {
     assert!(report.contains(" | S"), "branch transition shown: {report}");
     // Every state appears exactly once.
     for s in 0..schedule.len() {
-        assert!(report.contains(&format!("S{s} ")) || report.contains(&format!("S{s}  ")),
-            "state {s} missing from report:\n{report}");
+        assert!(
+            report.contains(&format!("S{s} ")) || report.contains(&format!("S{s}  ")),
+            "state {s} missing from report:\n{report}"
+        );
     }
 }
 

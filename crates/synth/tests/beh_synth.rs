@@ -41,9 +41,7 @@ fn run_superstate(
         // A ready DUT consumes the presented beat on this edge.
         let consumed: Vec<bool> = feeds
             .iter()
-            .map(|(name, queue)| {
-                !queue.is_empty() && sim.output(&format!("{name}_ready")).any()
-            })
+            .map(|(name, queue)| !queue.is_empty() && sim.output(&format!("{name}_ready")).any())
             .collect();
         let produced = sim.output(&out_valid).any().then(|| sim.output(out));
         sim.tick();
@@ -85,7 +83,10 @@ fn superstate_square_stream() {
     let inputs: Vec<i64> = vec![0, 1, 2, -3, 100, -128, 127];
     let mut feeds = [(
         "i".to_owned(),
-        inputs.iter().map(|&v| Bv::from_i64(v, 8)).collect::<VecDeque<_>>(),
+        inputs
+            .iter()
+            .map(|&v| Bv::from_i64(v, 8))
+            .collect::<VecDeque<_>>(),
     )];
     let got = run_superstate(&out.module, &mut feeds, "o", inputs.len(), 500);
     let want: Vec<Bv> = inputs
@@ -150,7 +151,10 @@ fn fixed_cycle_mode_has_strobes_not_handshake() {
             break;
         }
     }
-    let want: Vec<Bv> = inputs.iter().map(|&v| Bv::from_i64(v * v + 1, 16)).collect();
+    let want: Vec<Bv> = inputs
+        .iter()
+        .map(|&v| Bv::from_i64(v * v + 1, 16))
+        .collect();
     assert_eq!(got, want);
 }
 
@@ -183,7 +187,10 @@ fn while_loop_triangle_numbers() {
     let cases = [0u64, 1, 2, 10, 30];
     let mut feeds = [(
         "n".to_owned(),
-        cases.iter().map(|&v| Bv::new(v, 8)).collect::<VecDeque<_>>(),
+        cases
+            .iter()
+            .map(|&v| Bv::new(v, 8))
+            .collect::<VecDeque<_>>(),
     )];
     let got = run_superstate(&out.module, &mut feeds, "sum", cases.len(), 2000);
     let want: Vec<Bv> = cases
@@ -251,7 +258,11 @@ fn dot_product_with_memories_and_shared_multiplier() {
         data.iter().map(|&v| Bv::new(v, 8)).collect::<VecDeque<_>>(),
     )];
     let got = run_superstate(&out.module, &mut feeds, "dp", 1, 4000);
-    let want: u64 = data.iter().enumerate().map(|(k, &v)| (k as u64 + 1) * v).sum();
+    let want: u64 = data
+        .iter()
+        .enumerate()
+        .map(|(k, &v)| (k as u64 + 1) * v)
+        .sum();
     assert_eq!(got, vec![Bv::new(want, 20)]);
 }
 

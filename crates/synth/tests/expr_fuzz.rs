@@ -49,10 +49,18 @@ fn gen_expr(rng: &mut Rng, width: u32, depth: u32) -> Expr {
         7 => gen_expr(rng, width, d).not(),
         8 => gen_expr(rng, width, d).neg(),
         // comparisons and reductions re-widened to the target width
-        9 => gen_expr(rng, width, d).ult(gen_expr(rng, width, d)).zext(width),
-        10 => gen_expr(rng, width, d).slt(gen_expr(rng, width, d)).zext(width),
-        11 => gen_expr(rng, width, d).eq(gen_expr(rng, width, d)).zext(width),
-        12 => gen_expr(rng, width, d).sle(gen_expr(rng, width, d)).zext(width),
+        9 => gen_expr(rng, width, d)
+            .ult(gen_expr(rng, width, d))
+            .zext(width),
+        10 => gen_expr(rng, width, d)
+            .slt(gen_expr(rng, width, d))
+            .zext(width),
+        11 => gen_expr(rng, width, d)
+            .eq(gen_expr(rng, width, d))
+            .zext(width),
+        12 => gen_expr(rng, width, d)
+            .sle(gen_expr(rng, width, d))
+            .zext(width),
         13 => gen_expr(rng, width, d).red_or().zext(width),
         14 => gen_expr(rng, width, d).red_xor().zext(width),
         // dynamic shifts (amount from a narrow subtree)

@@ -100,7 +100,10 @@ fn arithmetic_soup_equivalence() {
     b.output("o_sar", b.n(sar));
     b.output(
         "o_red",
-        b.n(a).red_or().concat(b.n(a).red_and()).concat(b.n(a).red_xor()),
+        b.n(a)
+            .red_or()
+            .concat(b.n(a).red_and())
+            .concat(b.n(a).red_xor()),
     );
     b.output("o_eqne", b.n(a).eq(b.n(c)).concat(b.n(a).ne(b.n(c))));
     b.output("o_ules", b.n(a).ule(b.n(c)).concat(b.n(a).sle(b.n(c))));
@@ -155,7 +158,8 @@ fn counter_fsm_equivalence() {
     b.set_next(state, b.n(next_state));
     b.set_next(
         cnt,
-        b.n(is_run).mux(b.n(cnt).add(Expr::lit(1, 4)), Expr::lit(0, 4)),
+        b.n(is_run)
+            .mux(b.n(cnt).add(Expr::lit(1, 4)), Expr::lit(0, 4)),
     );
     b.output("st", b.n(state));
     b.output("c", b.n(cnt));

@@ -30,7 +30,10 @@ pub mod prop;
 pub mod rng;
 
 pub use bench::{BenchResult, Harness};
-pub use metrics::{assert_counter_delta, assert_names_stable, counter_delta};
 pub use diff::{diff_models, first_divergence, first_divergence_timed, Divergence};
-pub use prop::{bools, check, check_seeded, check_with, floats, ints, vecs, Config, Strategy, StrategyExt, TestResult};
+pub use metrics::{assert_counter_delta, assert_names_stable, counter_delta};
+pub use prop::{
+    bools, check, check_seeded, check_with, floats, ints, vecs, Config, Strategy, StrategyExt,
+    TestResult,
+};
 pub use rng::Rng;

@@ -31,7 +31,8 @@ pub fn assert_counter_delta(
 ) {
     let got = counter_delta(before, after, name);
     assert_eq!(
-        got, expected,
+        got,
+        expected,
         "counter `{name}` moved by {got}, expected {expected} \
          (before={:?}, after={:?})",
         before.counter(name),

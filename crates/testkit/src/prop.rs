@@ -508,7 +508,11 @@ pub fn run<S: Strategy>(
     };
     let mut chain = base;
     for case in 0..cfg.cases {
-        let case_seed = if case == 0 { base } else { splitmix64(&mut chain) };
+        let case_seed = if case == 0 {
+            base
+        } else {
+            splitmix64(&mut chain)
+        };
         let mut rng = Rng::new(case_seed);
         let value = strategy.generate(&mut rng);
         let message = match eval(&prop, &value) {
@@ -588,10 +592,14 @@ mod tests {
 
     #[test]
     fn passing_property_passes() {
-        check("u64 roundtrips through i128", &ints(0u64..=u64::MAX), |&v| {
-            crate::prop_assert_eq!((v as i128) as u64, v);
-            Ok(())
-        });
+        check(
+            "u64 roundtrips through i128",
+            &ints(0u64..=u64::MAX),
+            |&v| {
+                crate::prop_assert_eq!((v as i128) as u64, v);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -113,8 +113,8 @@ fn panicking_property_is_caught_and_shrunk() {
 /// shrinking.
 #[test]
 fn filtered_tuple_shrink_respects_filter() {
-    let strategy = (ints(0u32..=10_000), ints(0u32..=10_000))
-        .filter("first larger", |(a, b)| a > b);
+    let strategy =
+        (ints(0u32..=10_000), ints(0u32..=10_000)).filter("first larger", |(a, b)| a > b);
     let cfg = Config::default().with_seed(21).with_cases(100);
     let failure = prop::run(&cfg, "filtered tuple", &strategy, |&(a, b)| {
         prop_assert!(a.saturating_sub(b) < 100, "gap too large: {a} - {b}");

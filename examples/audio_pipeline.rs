@@ -17,7 +17,10 @@ fn quality(label: &str, samples: &[i16], freq: f64, rate: f64) {
     let skip = 300.min(samples.len() / 2);
     let settled = &samples[skip..];
     let snr = stimulus::snr_db(settled, freq, rate);
-    println!("  {label:<28} {:>7} samples, SNR {snr:>6.1} dB", samples.len());
+    println!(
+        "  {label:<28} {:>7} samples, SNR {snr:>6.1} dB",
+        samples.len()
+    );
 }
 
 fn main() {

@@ -29,7 +29,10 @@ fn main() {
     let cfg = SrcConfig::dvd_to_cd();
     let input = stimulus::noise(600, 8_000, 20_040_731);
     let golden = GoldenVectors::generate(&cfg, input.clone());
-    println!("== hunting the golden-model buffer bug ({} outputs) ==\n", golden.len());
+    println!(
+        "== hunting the golden-model buffer bug ({} outputs) ==\n",
+        golden.len()
+    );
 
     // 1. The buggy golden model simulates bit-identically...
     let mut buggy_algo = AlgoSrc::new(&cfg).with_buffer_bug();

@@ -54,7 +54,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         use scflow::models::harness::run_handshake;
         let mut sim = scflow_rtl::RtlSim::new(&rtl);
-        for port in ["dbg_state", "out_sample", "in_sample_ready", "out_sample_valid"] {
+        for port in [
+            "dbg_state",
+            "out_sample",
+            "in_sample_ready",
+            "out_sample_valid",
+        ] {
             sim.watch_port(port);
         }
         let input = stimulus::sine(8, 1000.0, f64::from(cfg.in_rate), 9000.0);
@@ -65,7 +70,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("artifacts written to {}:", out.display());
     for entry in fs::read_dir(out)? {
         let e = entry?;
-        println!("  {:>8} bytes  {}", e.metadata()?.len(), e.file_name().to_string_lossy());
+        println!(
+            "  {:>8} bytes  {}",
+            e.metadata()?.len(),
+            e.file_name().to_string_lossy()
+        );
     }
     Ok(())
 }

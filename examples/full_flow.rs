@@ -20,7 +20,10 @@ use scflow::prelude::*;
 
 fn main() {
     let cfg = SrcConfig::cd_to_dvd();
-    println!("== refinement flow: {} Hz -> {} Hz ==\n", cfg.in_rate, cfg.out_rate);
+    println!(
+        "== refinement flow: {} Hz -> {} Hz ==\n",
+        cfg.in_rate, cfg.out_rate
+    );
 
     // Golden vectors from the algorithmic model.
     let input = stimulus::sweep(200, 100.0, 18_000.0, 44_100.0, 9_000.0);

@@ -16,7 +16,10 @@ fn main() {
     let mut src = AlgoSrc::new(&cfg);
     let output = src.process(&input);
 
-    println!("sample-rate conversion {} Hz -> {} Hz", cfg.in_rate, cfg.out_rate);
+    println!(
+        "sample-rate conversion {} Hz -> {} Hz",
+        cfg.in_rate, cfg.out_rate
+    );
     println!("  input samples:  {}", input.len());
     println!("  output samples: {}", output.len());
     println!(

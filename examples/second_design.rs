@@ -42,7 +42,9 @@ fn decimator_program() -> scflow_synth::beh::BehProgram {
     let rom = p.memory(
         "taps",
         16,
-        TAPS.iter().map(|&c| Bv::from_i64(i64::from(c), 16)).collect(),
+        TAPS.iter()
+            .map(|&c| Bv::from_i64(i64::from(c), 16))
+            .collect(),
     );
     let hist = p.memory("hist", 16, vec![Bv::zero(16); 8]);
     let x = p.var("x", 16);
@@ -109,7 +111,11 @@ fn main() {
         result.area.cell_count(),
         result.netlist.flop_count(),
         result.timing.critical_path_ps,
-        if result.timing.meets(40_000) { "meets" } else { "VIOLATES" }
+        if result.timing.meets(40_000) {
+            "meets"
+        } else {
+            "VIOLATES"
+        }
     );
     let mut gate_sim = GateSim::new(&result.netlist, &lib);
     gate_sim.poke("scan_en", Bv::zero(1));

@@ -65,7 +65,9 @@ fn main() {
     rpc(format!(
         r#"{{"id":6,"op":"poke","session":"{rtl}","port":"in_sample","value":"0x7fff","width":16}}"#
     ));
-    rpc(format!(r#"{{"id":7,"op":"step","session":"{rtl}","cycles":2}}"#));
+    rpc(format!(
+        r#"{{"id":7,"op":"step","session":"{rtl}","cycles":2}}"#
+    ));
     rpc(format!(
         r#"{{"id":8,"op":"peek","session":"{rtl}","port":"out_sample"}}"#
     ));
