@@ -13,13 +13,14 @@
 //!   an interpreter, because the compiled-model vs interpreted-HDL
 //!   performance gap is the mechanism behind the paper's Figures 8 and 9,
 //! * a **compiled levelized engine** ([`CompiledProgram`] /
-//!   [`CompiledSim`]) — the "compiled C-model" side of that same gap:
+//!   [`RtlExec`]) — the "compiled C-model" side of that same gap:
 //!   one-time lowering to flat bytecode over dense value slots with
-//!   constant folding and activity gating, bit-identical to [`RtlSim`],
-//! * a **64-lane bit-parallel executor** ([`BitRtlSim`]) over the same
-//!   bytecode — one instruction dispatch drives 64 independent stimulus
-//!   lanes, for scenario sweeps; lane 0 is byte-identical to
-//!   [`CompiledSim`],
+//!   constant folding and activity gating. One executor, generic over
+//!   its lane count, runs it in two configurations: [`CompiledSim`]
+//!   (one lane, bit-identical to [`RtlSim`]) and [`BitRtlSim`] (64
+//!   lanes, where one instruction dispatch drives 64 independent
+//!   stimulus scenarios for sweeps; lane 0 is byte-identical to
+//!   [`CompiledSim`]),
 //! * a **Verilog pretty-printer** ([`Module::to_verilog`]) for the "RTL
 //!   Verilog from SystemC synthesis" artefact.
 //!
@@ -55,7 +56,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bitexec;
 mod builder;
 mod compile;
 mod error;
@@ -65,21 +65,19 @@ mod module;
 mod opt;
 mod sim;
 mod simapi;
-mod snapstate;
 mod trace;
 mod verilog;
 
-pub use bitexec::{BitRtlSim, RTL_LANES};
 pub use builder::ModuleBuilder;
 pub use compile::CompiledProgram;
 pub use error::RtlError;
-pub use exec::CompiledSim;
+pub use exec::{BitRtlSim, CompiledSim, RtlExec, RTL_LANES};
 pub use expr::{BinOp, Expr, UnaryOp};
 pub use module::{
     Memory, MemoryId, Module, Net, NetId, Port, PortDir, Register, RtlStats, WritePort,
 };
 // The pass-pipeline configuration accepted by [`CompiledProgram::compile_with`].
 pub use scflow_hwtypes::PassConfig;
-// The unified engine interface both simulators implement.
+// The unified engine interface every simulator implements.
 pub use scflow_sim_api::{EngineStats, SimError, Simulation};
 pub use sim::{MemViolation, RtlSim};

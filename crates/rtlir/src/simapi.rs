@@ -1,11 +1,12 @@
 //! [`Simulation`] implementations for the RTL engines.
 //!
-//! All three engines share the per-cycle protocol the trait codifies, so
-//! testbench harnesses, co-simulation bridges and benchmarks can swap the
-//! interpreter for the compiled engine (or the 64-lane bit-parallel one)
-//! without touching driver code.
+//! The interpreter and the compiled executor (at any lane count) share
+//! the per-cycle protocol the trait codifies, so testbench harnesses,
+//! co-simulation bridges and benchmarks can swap the interpreter for the
+//! compiled engine (or its 64-lane configuration) without touching
+//! driver code.
 
-use crate::{BitRtlSim, CompiledSim, RtlSim, RTL_LANES};
+use crate::{RtlExec, RtlSim};
 use scflow_hwtypes::Bv;
 use scflow_sim_api::{
     BatchError, BatchReply, EngineStats, MetricsRegistry, PortHandle, SimError, Simulation,
@@ -87,108 +88,20 @@ impl Simulation for RtlSim<'_> {
     }
 }
 
-impl Simulation for CompiledSim<'_> {
+impl<const N: usize> Simulation for RtlExec<'_, N> {
     fn step(&mut self) {
         self.tick();
     }
 
     fn settle(&mut self) {
-        CompiledSim::settle(self);
+        RtlExec::settle(self);
     }
 
     fn cycle(&self) -> u64 {
-        CompiledSim::cycle(self)
+        RtlExec::cycle(self)
     }
 
-    fn try_poke(&mut self, port: &str, value: Bv) -> Result<(), SimError> {
-        self.try_set_input(port, value)
-    }
-
-    fn try_peek(&self, port: &str) -> Result<Bv, SimError> {
-        self.try_output(port)
-    }
-
-    fn has_input(&self, port: &str) -> bool {
-        self.module_has_input(port)
-    }
-
-    fn input_handle(&self, port: &str) -> Option<PortHandle> {
-        self.input_index(port).map(PortHandle::new)
-    }
-
-    fn output_handle(&self, port: &str) -> Option<PortHandle> {
-        self.output_index(port).map(PortHandle::new)
-    }
-
-    fn poke_handle(&mut self, handle: PortHandle, value: Bv) {
-        self.set_input_at(handle.index(), value);
-    }
-
-    fn peek_handle(&self, handle: PortHandle) -> Bv {
-        self.output_at(handle.index())
-    }
-
-    fn stats(&self) -> EngineStats {
-        EngineStats {
-            cycles: CompiledSim::cycle(self),
-            evals: self.instructions_executed(),
-            skipped: self.cones_skipped(),
-            events: 0,
-        }
-    }
-
-    /// # Panics
-    ///
-    /// Panics if the port does not exist (same as
-    /// [`CompiledSim::watch_port`]).
-    fn watch(&mut self, port: &str) {
-        self.watch_port(port);
-    }
-
-    fn trace(&self, clock_period_ps: u64) -> Option<String> {
-        Some(self.waveform_vcd(clock_period_ps))
-    }
-
-    fn set_coverage(&mut self, enabled: bool) -> bool {
-        CompiledSim::set_coverage(self, enabled);
-        true
-    }
-
-    fn coverage(&self) -> Option<&ToggleCoverage> {
-        CompiledSim::coverage(self)
-    }
-
-    fn metrics(&self) -> Option<MetricsRegistry> {
-        Some(rtl_metrics(
-            Simulation::stats(self),
-            "rtl.compiled",
-            CompiledSim::coverage(self),
-        ))
-    }
-
-    fn snapshot(&self) -> Option<Snapshot> {
-        Some(self.snapshot_state())
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> bool {
-        self.restore_state(snapshot)
-    }
-}
-
-impl Simulation for BitRtlSim<'_> {
-    fn step(&mut self) {
-        self.tick();
-    }
-
-    fn settle(&mut self) {
-        BitRtlSim::settle(self);
-    }
-
-    fn cycle(&self) -> u64 {
-        BitRtlSim::cycle(self)
-    }
-
-    /// Broadcast poke: drives the port on all 64 lanes (lane-specific
+    /// Broadcast poke: drives the port on every lane (lane-specific
     /// stimulus goes through
     /// [`step_batch_lanes`](Simulation::step_batch_lanes)).
     fn try_poke(&mut self, port: &str, value: Bv) -> Result<(), SimError> {
@@ -222,7 +135,7 @@ impl Simulation for BitRtlSim<'_> {
 
     fn stats(&self) -> EngineStats {
         EngineStats {
-            cycles: BitRtlSim::cycle(self),
+            cycles: RtlExec::cycle(self),
             evals: self.instructions_executed(),
             skipped: self.cones_skipped(),
             events: 0,
@@ -232,7 +145,7 @@ impl Simulation for BitRtlSim<'_> {
     /// # Panics
     ///
     /// Panics if the port does not exist (same as
-    /// [`BitRtlSim::watch_port`]).
+    /// [`RtlExec::watch_port`]).
     fn watch(&mut self, port: &str) {
         self.watch_port(port);
     }
@@ -242,24 +155,24 @@ impl Simulation for BitRtlSim<'_> {
     }
 
     fn set_coverage(&mut self, enabled: bool) -> bool {
-        BitRtlSim::set_coverage(self, enabled);
+        RtlExec::set_coverage(self, enabled);
         true
     }
 
     fn coverage(&self) -> Option<&ToggleCoverage> {
-        BitRtlSim::coverage(self)
+        RtlExec::coverage(self)
     }
 
     fn metrics(&self) -> Option<MetricsRegistry> {
         Some(rtl_metrics(
             Simulation::stats(self),
-            "rtl.bitpar",
-            BitRtlSim::coverage(self),
+            Self::ENGINE,
+            RtlExec::coverage(self),
         ))
     }
 
     fn reset(&mut self) -> bool {
-        BitRtlSim::reset(self);
+        RtlExec::reset(self);
         true
     }
 
@@ -273,12 +186,16 @@ impl Simulation for BitRtlSim<'_> {
 
     /// Item *i* drives stimulus lane *i*; the whole batch runs in one
     /// engine pass. The batch is validated before any lane is poked, so
-    /// a refused batch leaves the engine untouched.
+    /// a refused batch leaves the engine untouched. A one-lane engine
+    /// has no lane-parallel stimulus and refuses lanes mode.
     fn step_batch_lanes(&mut self, batch: &StimulusBatch) -> Result<BatchReply, BatchError> {
-        if batch.items.len() > RTL_LANES as usize {
+        if N == 1 {
+            return Err(BatchError::LanesUnsupported);
+        }
+        if batch.items.len() > N {
             return Err(BatchError::LanesOverflow {
                 items: batch.items.len(),
-                lanes: RTL_LANES,
+                lanes: N as u32,
             });
         }
         let cycles = batch.items.first().map_or(0, |it| it.cycles);
@@ -334,7 +251,7 @@ impl Simulation for BitRtlSim<'_> {
             .collect();
         Ok(BatchReply {
             outputs,
-            cycles: BitRtlSim::cycle(self),
+            cycles: RtlExec::cycle(self),
         })
     }
 }
