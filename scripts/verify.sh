@@ -6,6 +6,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== formatting (rustfmt) =="
+# The workspace is kept rustfmt-clean, so a diff shows only real edits.
+# `perfbench/` is its own workspace and is not covered by `--all`.
+cargo fmt --all --check
+
 echo "== build (release, offline) =="
 cargo build --workspace --release --offline
 
