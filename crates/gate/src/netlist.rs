@@ -56,6 +56,12 @@ impl GateMemory {
     pub fn words(&self) -> usize {
         self.init.len()
     }
+
+    /// `true` for a ROM (no write port): `init` is then its contents for
+    /// good, in every simulator and lane.
+    pub fn is_rom(&self) -> bool {
+        self.wen.is_none()
+    }
 }
 
 /// A flat gate-level netlist.

@@ -134,7 +134,6 @@ endmodule
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::celllib::CellKind;
     use crate::netlist::NetlistBuilder;
     use crate::scan::insert_scan_chain;

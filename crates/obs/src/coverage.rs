@@ -183,6 +183,13 @@ impl ToggleCoverage {
         )
     }
 
+    /// Words in [`save_state`](ToggleCoverage::save_state)'s vector, so
+    /// a snapshot reader can check a stored length before allocating.
+    #[must_use]
+    pub fn state_len(&self) -> usize {
+        1 + 5 * self.names.len()
+    }
+
     /// The collector's observation state as a flat word vector —
     /// `samples` followed by the five per-item arrays — for engine
     /// snapshots. The tracked item list is structure, not state, and is
@@ -191,8 +198,7 @@ impl ToggleCoverage {
     /// exactly.
     #[must_use]
     pub fn save_state(&self) -> Vec<u64> {
-        let n = self.names.len();
-        let mut out = Vec::with_capacity(1 + 5 * n);
+        let mut out = Vec::with_capacity(self.state_len());
         out.push(self.samples);
         out.extend_from_slice(&self.prev_val);
         out.extend_from_slice(&self.prev_known);
@@ -209,7 +215,7 @@ impl ToggleCoverage {
     /// collector's item list.
     pub fn load_state(&mut self, words: &[u64]) -> bool {
         let n = self.names.len();
-        if words.len() != 1 + 5 * n {
+        if words.len() != self.state_len() {
             return false;
         }
         self.samples = words[0];

@@ -27,6 +27,7 @@ use crate::RtlError;
 use scflow_hwtypes::Bv;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Flattens per-key lists of cone indices into a CSR-style arena of
 /// `(word, mask)` scheduling pairs: marking key `k` ORs each pair's mask
@@ -458,6 +459,10 @@ pub(crate) struct CompiledMem {
     pub name: String,
     pub width: u32,
     pub init: Vec<u64>,
+    /// No write port: the memory is a ROM, and `init` is its contents
+    /// for every executor and lane (executors keep per-lane words only
+    /// for RAMs).
+    pub rom: bool,
 }
 
 /// A top-level port resolved to its slot.
@@ -539,6 +544,11 @@ pub struct CompiledProgram {
     /// dead-cone elimination. Such a slot keeps its power-on value
     /// forever; coverage collection masks it out.
     pub(crate) retained_nets: Vec<bool>,
+    /// [`state_identity`](CompiledProgram::state_identity), computed on
+    /// first use: every snapshot and restore asks for it, and the
+    /// instruction streams it folds cost far more than the small state
+    /// blob itself. The optimizer clears it when it rewrites the program.
+    pub(crate) identity: OnceLock<u64>,
 }
 
 impl CompiledProgram {
@@ -730,10 +740,12 @@ impl CompiledProgram {
                     name: m.name.clone(),
                     width: m.width,
                     init: m.init.iter().map(|v| v.as_u64()).collect(),
+                    rom: m.write_ports.is_empty(),
                 })
                 .collect(),
             pass_tag: scflow_hwtypes::PassConfig::off().stable_tag(),
             retained_nets: vec![true; n_nets as usize],
+            identity: OnceLock::new(),
         };
         crate::opt::optimize_program(&mut prog, passes);
         Ok(prog)
@@ -783,11 +795,16 @@ impl CompiledProgram {
     /// the design-identity word snapshot blobs embed, so state captured
     /// on one program is never restored onto a different one. Folds the
     /// layout that state depends on (slot count, instruction counts,
-    /// port table, register/write tables, memory geometry) **and** the
-    /// program's content (power-on slot image, memory contents, both
-    /// instruction streams) — two designs that compile to the same
-    /// layout but different constants or opcodes must not collide.
+    /// port table, register/write tables, memory geometry and which
+    /// memories are ROMs) **and** the program's content (power-on slot
+    /// image, memory contents, both instruction streams) — two designs
+    /// that compile to the same layout but different constants or
+    /// opcodes must not collide. Computed once per program.
     pub fn state_identity(&self) -> u64 {
+        *self.identity.get_or_init(|| self.compute_identity())
+    }
+
+    fn compute_identity(&self) -> u64 {
         let mut h = scflow_hwtypes::Fnv64::new();
         h.write_str(&self.name);
         h.write_u64(self.pass_tag);
@@ -806,6 +823,7 @@ impl CompiledProgram {
         for m in &self.mems {
             h.write_str(&m.name);
             h.write_u64(u64::from(m.width));
+            h.write_u64(u64::from(m.rom));
             h.write_u64(m.init.len() as u64);
             for v in &m.init {
                 h.write_u64(*v);

@@ -486,6 +486,7 @@ fn re_emit(mut inst: Inst, old_start: u32, new_start: u32, map: &impl Fn(u32) ->
 /// the plain compile.
 pub(crate) fn optimize_program(p: &mut CompiledProgram, cfg: &PassConfig) {
     p.pass_tag = cfg.stable_tag();
+    p.identity = std::sync::OnceLock::new();
     if !cfg.any() {
         return;
     }
